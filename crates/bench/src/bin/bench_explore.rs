@@ -1,26 +1,21 @@
-//! Exploration baselines: serial [`Explorer`] vs the work-sharing
-//! [`ParallelExplorer`] at 1/2/4/8 workers over two real schedule trees
-//! (E1, throughput), the equivalence prune's three layers — the pure-
-//! stutter-only prune of PR 3 vs the object-granular sleep-set prune vs
-//! the reads-from revisit mode (E4) —
-//! on the same trees plus a stutter-heavy dining scenario (E2, schedule
-//! counts), and the exploration-kernel execution modes — legacy
-//! spawn-per-run replay vs the pooled host kernel, replay vs
-//! checkpointed resume — on the pruned anomaly+background tree (E3,
-//! throughput, with schedule/prune counts asserted identical across
-//! modes). Writes `BENCH_explore.json` at the repo root (archived in
-//! EXPERIMENTS.md §E1/§E2/§E3); the CI explore job gates on the E3
-//! section.
+//! Exploration baselines: the one exploration engine at 1 worker vs
+//! 2/4/8 workers over two real schedule trees (E1, throughput), the full
+//! tree vs the race-driven revisit prune (E2/E4, schedule counts) on the
+//! same trees plus a stutter-heavy dining scenario, and the kernel's OS
+//! thread hand-offs per run on the pruned anomaly+background tree (a
+//! deterministic cost proxy). Writes `BENCH_explore.json` at the repo root
+//! (archived in EXPERIMENTS.md §E1/§E2/§E4); the CI explore job gates on
+//! the hand-off ceiling.
 //!
 //! ```text
 //! cargo run --release -p bloom-bench --bin bench_explore            # E1/E2
 //! cargo run --release -p bloom-bench --bin bench_explore -- --sample --symbolic
 //! ```
 //!
-//! With `--sample`, a third section measures the R3 *samplers* (PCT and
+//! With `--sample`, a further section measures the R3 *samplers* (PCT and
 //! random walk) on the scaled starvation scenario: sampled schedules
 //! per second at 1/2/4/8 workers, plus the deterministic violation
-//! counts the throughput was bought with. With `--symbolic`, a fourth
+//! counts the throughput was bought with. With `--symbolic`, another
 //! section records the E5 symbolic-vs-concrete schedule counts for the
 //! two `choose_value` scenarios (the CI explore job gates
 //! `symbolic <= concrete` on it). Without a flag its section is an
@@ -29,10 +24,10 @@
 //! Wall-clock measurement is deliberately confined to this binary — the
 //! deterministic report (`report.rs`) must stay machine-independent; this
 //! artifact, like the criterion benches, is a measurement and says so.
-//! The prune *counts*, by contrast, are deterministic, and this binary
-//! asserts their soundness while measuring: every prune mode observes
-//! the identical behavior set, and every pruned tree is byte-identical
-//! across 1/2/4/8 worker threads.
+//! The prune and hand-off *counts*, by contrast, are deterministic, and
+//! this binary asserts the prune's soundness while measuring: both modes
+//! observe the identical behavior set, and every tree is byte-identical
+//! across 1/2/4/8 workers.
 
 use bloom_core::MechanismId;
 use bloom_problems::liveness::{deadlock_recovery_sim, LiveMechanism};
@@ -54,14 +49,9 @@ fn recovery_tree() -> Sim {
 }
 
 /// The footnote-3 anomaly tree (two writers, one reader, Figure-1 paths):
-/// the F1a report section's workload. `reuse_hosts: false` selects the
-/// legacy spawn-per-run kernel for the E3 baseline; everything else uses
-/// the pooled default.
-fn anomaly_tree_on(reuse_hosts: bool) -> Sim {
-    let mut sim = Sim::with_config(SimConfig {
-        reuse_hosts,
-        ..SimConfig::default()
-    });
+/// the F1a report section's workload.
+fn anomaly_tree() -> Sim {
+    let mut sim = Sim::new();
     let db = rw::make(MechanismId::PathV1, RwVariant::ReadersPriority);
     for i in 0..2 {
         let db = Arc::clone(&db);
@@ -76,22 +66,16 @@ fn anomaly_tree_on(reuse_hosts: bool) -> Sim {
     sim
 }
 
-fn anomaly_tree() -> Sim {
-    anomaly_tree_on(true)
-}
-
 /// The footnote-3 tree as explored for the prune comparison: the
 /// Figure-1 scenario of [`anomaly_tree`] plus one background process
 /// working a private semaphore. Every quantum of the bare scenario
-/// touches the single shared path machine, so the object-granular layer
-/// cannot improve on the pure-stutter prune there (both leave all 44
-/// schedules); the background worker is the minimal independent load
-/// that separates the two layers — its semaphore quanta conflict with
-/// nothing the anomaly processes touch, which only per-object footprints
-/// can see. This is also the representative case: exploring a subsystem
-/// embedded in a larger program.
-fn anomaly_bg_tree_on(reuse_hosts: bool) -> Sim {
-    let mut sim = anomaly_tree_on(reuse_hosts);
+/// touches the single shared path machine; the background worker is the
+/// minimal independent load — its semaphore quanta conflict with nothing
+/// the anomaly processes touch, which only per-object footprints can see.
+/// This is also the representative case: exploring a subsystem embedded
+/// in a larger program.
+fn anomaly_bg_tree() -> Sim {
+    let mut sim = anomaly_tree();
     let side = Arc::new(bloom_semaphore::Semaphore::strong("side", 1));
     sim.spawn("background", move |ctx| {
         side.p(ctx);
@@ -101,13 +85,9 @@ fn anomaly_bg_tree_on(reuse_hosts: bool) -> Sim {
     sim
 }
 
-fn anomaly_bg_tree() -> Sim {
-    anomaly_bg_tree_on(true)
-}
-
 /// Stutter-heavy dining scenario for the prune measurement: extra bare
-/// yields between fork operations create pure quanta whose sibling
-/// subtrees the sleep-set prune can discard.
+/// yields between fork operations create empty-footprint quanta that
+/// race with nothing.
 fn dining_tree(n: usize) -> Sim {
     let mut sim = Sim::new();
     let forks: Vec<Arc<bloom_semaphore::Semaphore>> = (0..n)
@@ -135,23 +115,9 @@ struct Measurement {
     secs: f64,
 }
 
-fn time_serial(iters: usize, setup: impl Fn() -> Sim + Sync) -> Measurement {
-    let start = Instant::now();
-    let mut schedules = 0;
-    for _ in 0..iters {
-        let (journal, stats) =
-            ExploreConfig::new(usize::MAX).run(&setup, |_, result| result.is_err());
-        assert!(stats.complete);
-        std::hint::black_box(journal.iter().filter(|r| r.value).count());
-        schedules = stats.schedules;
-    }
-    Measurement {
-        schedules,
-        secs: start.elapsed().as_secs_f64() / iters as f64,
-    }
-}
-
-fn time_parallel(iters: usize, threads: usize, setup: impl Fn() -> Sim + Sync) -> Measurement {
+/// Mean wall time of one complete exploration of `setup` at `threads`
+/// workers, over `iters` explorations.
+fn time_explore(iters: usize, threads: usize, setup: impl Fn() -> Sim + Sync) -> Measurement {
     let start = Instant::now();
     let mut schedules = 0;
     for _ in 0..iters {
@@ -168,24 +134,25 @@ fn time_parallel(iters: usize, threads: usize, setup: impl Fn() -> Sim + Sync) -
     }
 }
 
+/// E1: one worker (the [`Engine::Serial`] default) against 2/4/8 workers.
 fn bench_tree(name: &str, iters: usize, setup: impl Fn() -> Sim + Sync) -> String {
-    let serial = time_serial(iters, &setup);
+    let serial = time_explore(iters, 1, &setup);
     eprintln!(
-        "{name}: serial {} schedules in {:.3}s ({:.0}/s)",
+        "{name}: 1 worker {} schedules in {:.3}s ({:.0}/s)",
         serial.schedules,
         serial.secs,
         serial.schedules as f64 / serial.secs
     );
     let mut parallel_entries = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let m = time_parallel(iters, threads, &setup);
+    for &threads in &THREAD_COUNTS[1..] {
+        let m = time_explore(iters, threads, &setup);
         assert_eq!(
             m.schedules, serial.schedules,
-            "{name}: parallel schedule count diverged at {threads} threads"
+            "{name}: schedule count diverged at {threads} threads"
         );
         let speedup = serial.secs / m.secs;
         eprintln!(
-            "{name}: {threads} thread(s) {:.3}s ({:.0}/s, {speedup:.2}x)",
+            "{name}: {threads} threads {:.3}s ({:.0}/s, {speedup:.2}x)",
             m.secs,
             m.schedules as f64 / m.secs
         );
@@ -210,8 +177,9 @@ fn bench_tree(name: &str, iters: usize, setup: impl Fn() -> Sim + Sync) -> Strin
 
 /// Canonical behavior of one schedule: liveness verdict, recovery
 /// victims, and the ordered user-event journal. Timestamps are excluded
-/// on purpose — commuting a pure quantum shifts every later timestamp,
-/// and that is exactly the unobservable difference the prune collapses.
+/// on purpose — commuting independent quanta shifts every later
+/// timestamp, and that is exactly the unobservable difference the prune
+/// collapses.
 fn behavior(result: &Result<SimReport, SimError>) -> String {
     let report = match result {
         Ok(report) => report,
@@ -230,15 +198,19 @@ fn behavior(result: &Result<SimReport, SimError>) -> String {
     )
 }
 
-/// One serial exploration under `config`, returning the full
-/// (decision-vector, behavior) journal alongside the stats. The unified
-/// verb sorts the journal by decision vector, so it is directly
-/// comparable to any other engine's.
-fn explore_serial(
+/// One exploration under `config` at `threads` workers, returning the
+/// full (decision-vector, behavior) journal alongside the stats. The
+/// unified verb sorts the journal by decision vector, so it is directly
+/// comparable to any other worker count's.
+fn explore(
     config: &ExploreConfig,
+    threads: usize,
     setup: impl Fn() -> Sim + Sync,
 ) -> (Vec<(Vec<u32>, String)>, ExploreStats) {
-    let (journal, stats) = config.run(&setup, |_, result| behavior(result));
+    let (journal, stats) = config
+        .clone()
+        .threads(threads)
+        .run(&setup, |_, result| behavior(result));
     assert!(stats.complete, "tree exceeds the budget");
     (
         journal.into_iter().map(|r| (r.choices, r.value)).collect(),
@@ -246,58 +218,32 @@ fn explore_serial(
     )
 }
 
-/// E2: full tree vs the PR 3 pure-stutter prune ("coarse") vs the
-/// object-granular sleep-set prune vs the reads-from revisit mode
-/// (DESIGN.md §2.14) on one tree. Asserts, while counting: all four
-/// modes observe the identical behavior set, each prune layer visits
-/// strictly fewer schedules than the one before it (granular < coarse,
-/// revisit < granular), the revisit accounting invariant holds, and
-/// every pruned tree is byte-identical across 1/2/4/8 worker threads.
+/// E2/E4: the full tree vs the race-driven revisit prune (DESIGN.md
+/// §2.14) on one tree. Asserts, while counting: both modes observe the
+/// identical behavior set, the prune visits strictly fewer schedules, its
+/// accounting invariant holds, and both trees are byte-identical across
+/// 1/2/4/8 workers.
 fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
-    let budget = ExploreConfig::new(usize::MAX);
-    let coarse_config = budget.clone().prune(true).granular(false);
-    let granular_config = budget.clone().prune(true);
-    let revisit_config = budget.clone().mode(PruneMode::Revisit);
-    let (full_journal, full_stats) = explore_serial(&budget, &setup);
-    let (coarse_journal, coarse_stats) = explore_serial(&coarse_config, &setup);
-    let (granular_journal, granular_stats) = explore_serial(&granular_config, &setup);
-    let (revisit_journal, revisit_stats) = explore_serial(&revisit_config, &setup);
+    let full_config = ExploreConfig::new(usize::MAX);
+    let revisit_config = full_config.clone().mode(PruneMode::Revisit);
+    let (full_journal, full_stats) = explore(&full_config, 1, &setup);
+    let (revisit_journal, revisit_stats) = explore(&revisit_config, 1, &setup);
 
     // Soundness while we measure: pruning may only skip schedules whose
     // behavior an explored schedule already exhibits.
     let behaviors = |journal: &[(Vec<u32>, String)]| -> BTreeSet<String> {
         journal.iter().map(|(_, b)| b.clone()).collect()
     };
-    let full_set = behaviors(&full_journal);
-    assert_eq!(
-        behaviors(&coarse_journal),
-        full_set,
-        "{name}: coarse prune changed the behavior set"
-    );
-    assert_eq!(
-        behaviors(&granular_journal),
-        full_set,
-        "{name}: granular prune changed the behavior set"
-    );
     assert_eq!(
         behaviors(&revisit_journal),
-        full_set,
+        behaviors(&full_journal),
         "{name}: revisit prune changed the behavior set"
     );
-    assert!(coarse_stats.schedules <= full_stats.schedules);
     assert!(
-        granular_stats.schedules < coarse_stats.schedules,
-        "{name}: object-granular prune must beat the pure-only prune \
-         ({} vs {} schedules)",
-        granular_stats.schedules,
-        coarse_stats.schedules
-    );
-    assert!(
-        revisit_stats.schedules < granular_stats.schedules,
-        "{name}: revisit mode must beat the sleep-set prune \
-         ({} vs {} schedules)",
+        revisit_stats.schedules < full_stats.schedules,
+        "{name}: revisit mode must beat the full tree ({} vs {} schedules)",
         revisit_stats.schedules,
-        granular_stats.schedules
+        full_stats.schedules
     );
     revisit_stats.assert_consistent();
     assert_eq!(
@@ -306,23 +252,17 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
         "{name}: every revisit schedule past the root run is a grant"
     );
 
-    // Thread-count invariance: every pruned tree merges to the serial
-    // journal byte-for-byte at every worker count.
+    // Worker-count invariance: both trees merge to the one-worker journal
+    // byte-for-byte at every worker count.
     for (config, serial_journal, serial_stats) in [
-        (&coarse_config, &coarse_journal, &coarse_stats),
-        (&granular_config, &granular_journal, &granular_stats),
+        (&full_config, &full_journal, &full_stats),
         (&revisit_config, &revisit_journal, &revisit_stats),
     ] {
-        for &threads in &THREAD_COUNTS {
-            let (journal, stats) = config
-                .clone()
-                .threads(threads)
-                .run(&setup, |_, result| behavior(result));
-            let merged: Vec<(Vec<u32>, String)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
+        for &threads in &THREAD_COUNTS[1..] {
+            let (journal, stats) = explore(config, threads, &setup);
             assert_eq!(
-                &merged, serial_journal,
-                "{name}: pruned journal diverged at {threads} threads"
+                &journal, serial_journal,
+                "{name}: journal diverged at {threads} threads"
             );
             assert_eq!(stats.schedules, serial_stats.schedules);
             assert_eq!(stats.pruned, serial_stats.pruned);
@@ -332,37 +272,23 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
         }
     }
 
-    let evictions: u64 = granular_stats.conflicts.values().sum();
     let races: u64 = revisit_stats.conflicts.values().sum();
     eprintln!(
-        "pruning({name}): {} full, {} coarse (pure-only), {} granular \
-         ({} + {} subtrees cut, {} conflict evictions), {} revisit \
-         ({} races, {} requests, {} grants)",
+        "pruning({name}): {} full, {} revisit ({} subtrees pruned, {} races, \
+         {} requests, {} grants)",
         full_stats.schedules,
-        coarse_stats.schedules,
-        granular_stats.schedules,
-        coarse_stats.pruned,
-        granular_stats.pruned,
-        evictions,
         revisit_stats.schedules,
+        revisit_stats.pruned,
         races,
         revisit_stats.revisit_requests,
         revisit_stats.revisits
     );
     format!(
         "{{\n      \"tree\": \"{name}\",\n      \"full_schedules\": {},\n      \
-         \"coarse_schedules\": {},\n      \"coarse_pruned\": {},\n      \
-         \"granular_schedules\": {},\n      \"granular_pruned\": {},\n      \
-         \"conflict_evictions\": {},\n      \
          \"revisit_schedules\": {},\n      \"revisit_pruned\": {},\n      \
          \"revisit_races\": {},\n      \"revisit_requests\": {},\n      \
          \"revisit_grants\": {}\n    }}",
         full_stats.schedules,
-        coarse_stats.schedules,
-        coarse_stats.pruned,
-        granular_stats.schedules,
-        granular_stats.pruned,
-        evictions,
         revisit_stats.schedules,
         revisit_stats.pruned,
         races,
@@ -371,92 +297,44 @@ fn compare_prunes(name: &str, setup: impl Fn() -> Sim + Sync) -> String {
     )
 }
 
-/// E3: the exploration-kernel execution modes on the pruned
-/// anomaly+background tree (1112 granular schedules). Four modes, one
-/// axis each:
-///
-/// * `legacy-replay` — spawn-per-run kernel (`reuse_hosts: false`),
-///   whole-prefix replay: the pre-pool baseline every ratio is against;
-/// * `pooled-replay` — host-pool kernel, whole-prefix replay: the
-///   default, and the fastest (the conservation bound in DESIGN.md
-///   §2.13 explains why checkpointing cannot beat it — every held run
-///   still executes its full prefix at birth);
-/// * `pooled-dense-64` / `pooled-geom-8` — host-pool kernel resuming
-///   from a spine of held runs under the two non-replay
-///   [`CheckpointSpacing`] policies.
-///
-/// Soundness while measuring: all four modes must report identical
-/// schedule and prune counts — the CI explore job re-asserts this from
-/// the JSON, plus a throughput-ratio floor for the pooled kernel.
-fn bench_kernel() -> String {
-    // Warm the host pool so its one-time thread spawns don't bill the
-    // first-measured mode.
-    anomaly_bg_tree().run().expect("warmup run is clean");
-    let modes: [(&str, bool, CheckpointSpacing); 4] = [
-        ("legacy-replay", false, CheckpointSpacing::Replay),
-        ("pooled-replay", true, CheckpointSpacing::Replay),
-        (
-            "pooled-dense-64",
-            true,
-            CheckpointSpacing::Dense { budget: 64 },
-        ),
-        (
-            "pooled-geom-8",
-            true,
-            CheckpointSpacing::Geometric { budget: 8 },
-        ),
-    ];
-    let iters = 5;
-    let mut baseline: Option<(usize, usize, f64)> = None;
-    let mut entries = Vec::new();
-    for (name, reuse_hosts, spacing) in modes {
-        let config = ExploreConfig::new(usize::MAX)
-            .prune(true)
-            .checkpoint(spacing);
-        let start = Instant::now();
-        let mut stats = ExploreStats::default();
-        for _ in 0..iters {
-            let (journal, s) = config.run(
-                || anomaly_bg_tree_on(reuse_hosts),
-                |_, result| result.is_err(),
-            );
-            stats = s;
-            assert!(stats.complete);
-            std::hint::black_box(journal.iter().filter(|r| r.value).count());
-        }
-        let secs = start.elapsed().as_secs_f64() / iters as f64;
-        let per_sec = stats.schedules as f64 / secs;
-        let speedup = match &baseline {
-            None => {
-                baseline = Some((stats.schedules, stats.pruned, secs));
-                1.0
-            }
-            Some((schedules, pruned, legacy_secs)) => {
-                assert_eq!(
-                    stats.schedules, *schedules,
-                    "{name}: kernel mode changed the schedule count"
-                );
-                assert_eq!(
-                    stats.pruned, *pruned,
-                    "{name}: kernel mode changed the prune count"
-                );
-                legacy_secs / secs
-            }
-        };
-        eprintln!(
-            "kernel({name}): {} schedules in {secs:.3}s ({per_sec:.0}/s, {speedup:.2}x legacy)",
-            stats.schedules
-        );
-        entries.push(format!(
-            "{{ \"mode\": \"{name}\", \"schedules\": {}, \"pruned\": {}, \
-             \"secs\": {secs:.6}, \"schedules_per_sec\": {per_sec:.0}, \
-             \"speedup_vs_legacy\": {speedup:.2} }}",
-            stats.schedules, stats.pruned
-        ));
-    }
+/// OS thread hand-offs and dispatches per run on the revisit-pruned
+/// anomaly+background tree, averaged over its schedules. Both counts are
+/// pure functions of the schedules ([`bloom_sim::SimMetrics::os_handoffs`]),
+/// so the CI explore job can gate a ceiling on them on any host.
+fn bench_handoffs() -> String {
+    let counts = |threads: usize| {
+        let (journal, stats) = ExploreConfig::new(usize::MAX)
+            .mode(PruneMode::Revisit)
+            .threads(threads)
+            .run(anomaly_bg_tree, |_, result| {
+                let m = match result {
+                    Ok(report) => &report.metrics,
+                    Err(err) => &err.report.metrics,
+                };
+                (m.os_handoffs, m.dispatches)
+            });
+        assert!(stats.complete);
+        journal
+    };
+    let journal = counts(1);
+    assert_eq!(
+        journal,
+        counts(4),
+        "hand-off counts must not depend on the worker count"
+    );
+    let runs = journal.len() as f64;
+    let handoffs = journal.iter().map(|r| r.value.0).sum::<u64>() as f64 / runs;
+    let dispatches = journal.iter().map(|r| r.value.1).sum::<u64>() as f64 / runs;
+    eprintln!(
+        "handoffs(anomaly+background, revisit): {} schedules, {handoffs:.2} hand-offs \
+         and {dispatches:.2} dispatches per run",
+        journal.len()
+    );
     format!(
-        "{{\n      \"tree\": \"anomaly+background\",\n      \"modes\": [\n        {}\n      ]\n    }}",
-        entries.join(",\n        ")
+        "{{ \"tree\": \"anomaly+background\", \"mode\": \"revisit\", \
+         \"schedules\": {}, \"handoffs_per_run\": {handoffs:.2}, \
+         \"dispatches_per_run\": {dispatches:.2} }}",
+        journal.len()
     )
 }
 
@@ -599,7 +477,7 @@ fn main() {
         compare_prunes("anomaly+background", anomaly_bg_tree),
         compare_prunes("dining-strong-3", || dining_tree(3)),
     ];
-    let kernel = [bench_kernel()];
+    let handoffs = [bench_handoffs()];
     let sampling = if sample { bench_samplers() } else { Vec::new() };
     let symbolic = if symbolic {
         bench_symbolic()
@@ -609,11 +487,11 @@ fn main() {
 
     let json = format!(
         "{{\n  {meta},\n  \"trees\": [\n    {}\n  ],\n  \
-         \"pruning\": [\n    {}\n  ],\n  \"kernel\": [\n    {}\n  ],\n  \
+         \"pruning\": [\n    {}\n  ],\n  \"handoffs\": [\n    {}\n  ],\n  \
          \"sampling\": [{}],\n  \"symbolic\": [{}]\n}}\n",
         trees.join(",\n    "),
         pruning.join(",\n    "),
-        kernel.join(",\n    "),
+        handoffs.join(",\n    "),
         if sampling.is_empty() {
             String::new()
         } else {

@@ -1251,8 +1251,7 @@ mod tests {
     /// latter on each schedule).
     #[test]
     fn stale_signal_race_explored_exhaustively() {
-        let explorer = bloom_sim::Explorer::new(20_000);
-        let stats = explorer.run(
+        let (_, stats) = bloom_sim::ExploreConfig::new(20_000).run(
             || {
                 let mut sim = Sim::new();
                 let m = Arc::new(Monitor::hoare("m", 0u32));

@@ -1139,8 +1139,7 @@ mod tests {
     /// requester never observes.
     #[test]
     fn grant_timeout_race_explored_exhaustively() {
-        let explorer = bloom_sim::Explorer::new(20_000);
-        let stats = explorer.run(
+        let (_, stats) = bloom_sim::ExploreConfig::new(20_000).run(
             || {
                 let mut sim = Sim::new();
                 let r = Arc::new(PathResource::parse("s", "path a end").unwrap());

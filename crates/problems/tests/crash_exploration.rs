@@ -1,12 +1,12 @@
 //! Exhaustive (schedule × kill-point) exploration of the experiment-R1
 //! crash scenarios.
 //!
-//! The per-kill-point sweeps in `faults` run one canonical schedule; this
-//! suite drives [`Explorer::run_kill_points`] over *every* schedule of the
-//! three-process readers/writers scenario for each mechanism, checking
-//! that crash containment and the poison protocol hold on all of them —
-//! and that the whole exploration is deterministic, decision vectors
-//! included. The CSP server's request loop makes its schedule tree too
+//! The per-kill-point sweeps in `faults` run one canonical schedule;
+//! this suite drives [`ExploreConfig::run_kill_points`] over *every*
+//! schedule of the three-process readers/writers scenario for each
+//! mechanism, checking that crash containment and the poison protocol
+//! hold on all of them — and that the whole exploration is
+//! deterministic, decision vectors included. The CSP server's request loop makes its schedule tree too
 //! large to exhaust (≈465k schedules), so that mechanism gets a budgeted
 //! sample instead; the shared-memory mechanisms are proved over their full
 //! trees (~13k–17k schedules each).

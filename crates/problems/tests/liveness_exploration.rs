@@ -2,7 +2,7 @@
 //! scenarios.
 //!
 //! The R2 matrix in `liveness` runs one canonical FIFO schedule per cell;
-//! this suite drives [`Explorer`] over *every* interleaving of the
+//! this suite drives [`ExploreConfig::run`] over *every* interleaving of the
 //! recovery scenarios, proving the verdicts are schedule-independent for
 //! the shared-memory mechanisms: dining philosophers recover from every
 //! deadlock the scheduler can produce (and from the schedules that never

@@ -90,8 +90,8 @@ pub(crate) enum Report {
     Aborted,
     /// The stopping process already accounted for its own stop inline
     /// (phase 3) but hit a condition only the scheduler loop can handle —
-    /// run termination, an empty ready list (timers or deadlock), the step
-    /// budget, or a held-run pause point. The loop must re-run phase 1
+    /// run termination, an empty ready list (timers or deadlock), or the
+    /// step budget. The loop must re-run phase 1
     /// from scratch and must NOT run phase 3 for this report.
     Rescan,
 }

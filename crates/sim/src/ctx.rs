@@ -42,10 +42,10 @@ impl Ctx {
 
     /// Current virtual time.
     ///
-    /// Reading the clock is an observable effect: commuting a pure quantum
-    /// shifts intervening timestamps by one tick, so a process that
-    /// branches on `now()` voids the explorers' equivalence prune for the
-    /// whole run (see [`crate::Decision::pure`]).
+    /// Reading the clock is an observable effect: commuting two quanta
+    /// shifts intervening timestamps, so a process that branches on
+    /// `now()` voids the explorer's revisit prune for the whole run (see
+    /// [`crate::SimReport::prune_safe`]).
     pub fn now(&self) -> Time {
         self.note_sync();
         let mut st = self.shared.state.lock();
@@ -103,10 +103,10 @@ impl Ctx {
     /// Marks the current quantum as having touched synchronization state
     /// the kernel cannot observe.
     ///
-    /// The explorers' equivalence prune classifies a quantum that performed
-    /// no kernel-visible operation as a *stutter* that commutes with every
-    /// sibling (see [`crate::Decision::pure`]). Mechanism state lives
-    /// outside the kernel — a semaphore's fast path decrements a counter
+    /// The explorer's revisit prune treats a quantum that reported no
+    /// object access as a *stutter* that commutes with every other
+    /// quantum (see [`crate::Footprint`]). Mechanism state lives outside
+    /// the kernel — a semaphore's fast path decrements a counter
     /// under its own mutex without ever entering the kernel — so every
     /// mechanism operation that reads or writes such state must call this
     /// before doing so; over-marking is always safe (it only disables
@@ -119,9 +119,8 @@ impl Ctx {
     /// marks the quantum as touching *everything*
     /// ([`crate::Footprint::All`]). Mechanisms that know which object they
     /// touched should call [`Ctx::note_sync_obj`] instead, which keeps the
-    /// object-granular sleep-set prune effective (see `DESIGN.md` §2.10).
+    /// object-granular race analysis effective (see `DESIGN.md` §2.14).
     pub fn note_sync(&self) {
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         self.shared.quantum_all.store(true, Ordering::Relaxed);
     }
 
@@ -149,7 +148,6 @@ impl Ctx {
     /// points**: incrementing a counter is not a kernel operation, does
     /// not stop the quantum, and is never read back by the scheduler.
     pub fn note_sync_obj_op(&self, obj: &ObjId, access: Access) {
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         merge_access(&mut st.quantum_objs, obj.clone(), access);
         crate::metrics::SimMetrics::bump(&mut st.metrics.sync_ops, obj.kind());
@@ -168,7 +166,6 @@ impl Ctx {
     /// Records an access to a kernel pseudo-object (or a mechanism object,
     /// by value) in the current quantum's footprint.
     fn mark_obj(&self, obj: ObjId, access: Access) {
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         merge_access(&mut st.quantum_objs, obj, access);
     }
@@ -313,7 +310,6 @@ impl Ctx {
         // same pseudo-object when the target parks, and unparks write it
         // too, so commuting this probe past a park-state change is
         // impossible; two probes of the same target commute.
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         merge_access(
             &mut st.quantum_objs,
@@ -329,7 +325,6 @@ impl Ctx {
     /// entries of processes that already woke by timeout; for queues that
     /// cannot, prefer [`Ctx::unpark`], which panics on staleness.
     pub fn try_unpark(&self, target: Pid) -> bool {
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         merge_access(
             &mut st.quantum_objs,
@@ -367,7 +362,6 @@ impl Ctx {
     /// parked, so an unparked-while-not-parked target is a mechanism bug and
     /// is reported loudly rather than being silently ignored.
     pub fn unpark(&self, target: Pid) {
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         merge_access(
             &mut st.quantum_objs,
@@ -489,7 +483,6 @@ impl Ctx {
         // event order is the observable behavior the explorers preserve),
         // while an emitting quantum still commutes with independent
         // non-emitting ones.
-        self.shared.quantum_dirty.store(true, Ordering::Relaxed);
         let mut st = self.shared.state.lock();
         merge_access(&mut st.quantum_objs, ObjId::pseudo("trace"), Access::Write);
         let clock = st.clock;

@@ -1,17 +1,14 @@
-//! Object-granular access footprints for the explorers' dependency-aware
-//! equivalence prune.
+//! Object-granular access footprints for the explorer's dependency-aware
+//! revisit prune.
 //!
-//! PR 3's prune classified a quantum as either *pure* (touched nothing) or
-//! opaque (touched "something"), so one sync-touching quantum disabled
-//! pruning for sibling subtrees that touched entirely different objects.
-//! This module refines the instrumentation contract: every synchronization
-//! object (a semaphore, a monitor, a wait queue, …) carries a stable
-//! [`ObjId`], mechanisms report *which* objects a quantum read or wrote
-//! (see [`crate::Ctx::note_sync_obj`]), and the kernel records one
-//! [`QuantumRecord`] per dispatch. Two quanta *conflict* when their
-//! footprints intersect on an object at least one side wrote — writes
-//! conflict with anything, reads commute — and the explorers use the
-//! conflict relation for a sleep-set prune (see `DESIGN.md` §2.10).
+//! Every synchronization object (a semaphore, a monitor, a wait queue, …)
+//! carries a stable [`ObjId`], mechanisms report *which* objects a quantum
+//! read or wrote (see [`crate::Ctx::note_sync_obj`]), and the kernel
+//! records one [`QuantumRecord`] per dispatch. Two quanta *conflict* when
+//! their footprints intersect on an object at least one side wrote —
+//! writes conflict with anything, reads commute — and the revisit race
+//! analysis reverses exactly the conflicting pairs (see `DESIGN.md`
+//! §2.14).
 //!
 //! [`crate::Ctx::note_sync`] remains the conservative fallback: it marks
 //! the quantum as touching *everything* ([`Footprint::All`]), which

@@ -74,9 +74,7 @@ pub(crate) struct ProcSlot {
     /// The process body, queued until the kernel first dispatches this
     /// process: the first dispatch hands it to a pooled host thread (see
     /// [`crate::pool`]) instead of sending `Go::Run`. `None` once
-    /// dispatched — and always `None` in legacy mode
-    /// ([`SimConfig::reuse_hosts`]` == false`), where a dedicated thread
-    /// is spawned eagerly and waits on the baton as the seed kernel did.
+    /// dispatched.
     pub pending: Option<PendingJob>,
     /// Incremented at every park; timeout timers carry the token of the
     /// park they belong to so stale timers are ignored.
@@ -122,13 +120,13 @@ pub(crate) struct State {
     pub starvation: Vec<StarvationFlag>,
     /// Victims aborted by deadlock recovery, in abort order.
     pub recovered: Vec<Pid>,
-    /// Whether the run has stayed within the contract of the explorers'
-    /// equivalence prune. Commuting a pure quantum across its siblings
-    /// shifts the virtual times of the events in between by one tick, so
-    /// anything time-sensitive voids the prune: setting any timer, reading
-    /// the clock from a process ([`Ctx::now`]), injecting faults, or
-    /// running the starvation watchdog clears this flag, and `snapshot`
-    /// then strips the `pure` bit from every recorded decision.
+    /// Whether the run has stayed within the contract of the explorer's
+    /// revisit prune. Commuting two independent quanta shifts the virtual
+    /// times of the events in between, so anything time-sensitive voids
+    /// the prune: setting any timer, reading the clock from a process
+    /// ([`Ctx::now`]), injecting faults, or running the starvation
+    /// watchdog clears this flag, and `snapshot` then forces every
+    /// recorded footprint to [`Footprint::All`].
     pub prune_safe: bool,
     /// Run-anatomy counters (see [`SimMetrics`]). Strictly
     /// non-authoritative: written throughout the run, read only by
@@ -139,19 +137,17 @@ pub(crate) struct State {
     pub last_dispatched: Option<Pid>,
     /// Object accesses reported for the *current* quantum via
     /// [`Ctx::note_sync_obj`]; drained into a [`QuantumRecord`] when the
-    /// quantum ends, cleared at each dispatch. (The coarse companion bits
-    /// live in [`Shared::quantum_dirty`]/[`Shared::quantum_all`], which
-    /// processes can set without taking this lock.)
+    /// quantum ends, cleared at each dispatch. (The conservative companion
+    /// bit lives in [`Shared::quantum_all`], which processes can set
+    /// without taking this lock.)
     pub quantum_objs: BTreeMap<ObjId, Access>,
     /// The per-dispatch footprint log (see [`SimReport::quanta`]).
     pub quanta: Vec<QuantumRecord>,
-    /// Whether to record `quanta`. On by default; the explorers force it
-    /// on when their object-granular prune is enabled.
+    /// Whether to record `quanta`. On by default; the explorer forces it
+    /// on when the revisit prune is enabled.
     pub record_quanta: bool,
-    /// The scheduling policy consulted at contested dispatches. Lives in
-    /// the kernel state rather than the [`crate::Sim`] builder so a held
-    /// run can retarget its replay script between drives (see
-    /// [`crate::HeldRun`]).
+    /// The scheduling policy consulted at contested dispatches (and by
+    /// [`Ctx::choose_value`] for data decisions).
     pub policy: Box<dyn SchedPolicy>,
     /// Copied from [`SimConfig::max_steps`] at construction.
     pub max_steps: u64,
@@ -161,30 +157,15 @@ pub(crate) struct State {
     /// Copied from [`SimConfig::deadlock_recovery`]; kept in sync by
     /// [`crate::Sim::enable_deadlock_recovery`].
     pub deadlock_recovery: bool,
-    /// Copied from [`SimConfig::reuse_hosts`] at construction.
-    pub reuse_hosts: bool,
-    /// The active [`drive`] call's pause budget, stored in state (rather
-    /// than on the scheduler loop's stack) so the inline continuation path
-    /// can honor held-run pause points too.
-    pub pause_at: Option<usize>,
-    /// Whether the quantum currently holding the CPU came from a
-    /// *contested* dispatch. Set by `pick_and_dispatch`, consumed by
-    /// `account_stop` — kernel state rather than a scheduler-loop local so
-    /// phase 3 can run on whichever thread the quantum stopped on.
-    pub cur_decided: bool,
-    /// Index (into `decisions`) of the current quantum's scheduling
-    /// decision when it was contested. `decisions.last_mut()` is *not*
-    /// equivalent: a data decision ([`Ctx::choose_value`]) recorded
-    /// mid-quantum appends after the dispatch's entry, so purity
-    /// classification must address the dispatch decision by index.
-    pub cur_sched_decision: Option<usize>,
     /// One record per [`Ctx::choose_value`] call with a contested domain,
     /// in call order: the k-th entry describes the k-th `Data`-kind entry
     /// of `decisions`. Drained into [`SimReport::data_choices`].
     pub data_choices: Vec<crate::symbolic::DataChoice>,
     /// The candidate list of the current quantum's contested dispatch
-    /// (`None` for forced dispatches or when `record_quanta` is off).
-    /// Same lifecycle as `cur_decided`.
+    /// (`None` for forced dispatches or when `record_quanta` is off). Set
+    /// by `pick_and_dispatch`, consumed by `account_stop` — kernel state
+    /// rather than a scheduler-loop local so phase 3 can run on whichever
+    /// thread the quantum stopped on.
     pub cur_ready: Option<Vec<Pid>>,
 }
 
@@ -217,10 +198,6 @@ impl State {
             max_steps: cfg.max_steps,
             starvation_bound: cfg.starvation_bound,
             deadlock_recovery: cfg.deadlock_recovery,
-            reuse_hosts: cfg.reuse_hosts,
-            pause_at: None,
-            cur_decided: false,
-            cur_sched_decision: None,
             cur_ready: None,
             data_choices: Vec::new(),
         }
@@ -264,12 +241,6 @@ pub(crate) struct Shared {
     pub sched_baton: Baton<Report>,
     /// Global ticket dispenser used by wait queues for FIFO ordering.
     pub tickets: AtomicU64,
-    /// Set by every [`Ctx`] operation with an observable effect (and by
-    /// [`Ctx::note_sync`], through which the mechanism crates report state
-    /// accesses the kernel cannot see). The scheduler clears it at each
-    /// dispatch and reads it back when the quantum ends, classifying the
-    /// quantum as pure or not — see [`crate::Decision::pure`].
-    pub quantum_dirty: AtomicBool,
     /// Set by [`Ctx::note_sync`] (the conservative fallback of the
     /// footprint contract): the current quantum may have touched *any*
     /// object, so its footprint is [`Footprint::All`] regardless of what
@@ -299,11 +270,14 @@ pub(crate) struct Shared {
     /// [`drive`] call: a stopping process runs phase 3 and the common case
     /// of phase 1 itself (see [`stop_process`]) instead of waking the
     /// scheduler loop, halving the context switches per quantum. Armed
-    /// only when pooled hosts are in use and neither fault injection nor
-    /// the starvation watchdog is active — those paths need the scheduler
-    /// loop's hand-shakes, and legacy mode (`reuse_hosts == false`) keeps
-    /// the seed protocol as the honest exploration baseline.
+    /// only when neither fault injection nor the starvation watchdog is
+    /// active — those paths need the scheduler loop's hand-shakes.
     pub inline: AtomicBool,
+    /// Wakes of another OS thread so far in this run (see
+    /// [`SimMetrics::os_handoffs`]); copied into the metrics by
+    /// `snapshot`. An atomic rather than a [`State`] field because most
+    /// hand-offs happen without the state lock.
+    pub os_handoffs: AtomicU64,
 }
 
 impl Shared {
@@ -312,14 +286,21 @@ impl Shared {
             state: Mutex::new(State::new(cfg, faults)),
             sched_baton: Baton::new(),
             tickets: AtomicU64::new(0),
-            quantum_dirty: AtomicBool::new(false),
             quantum_all: AtomicBool::new(false),
             cancelling: AtomicBool::new(false),
             queues: Mutex::new(Vec::new()),
             jobs: Mutex::new(0),
             jobs_cv: Condvar::new(),
             inline: AtomicBool::new(false),
+            os_handoffs: AtomicU64::new(0),
         })
+    }
+
+    /// Puts `value` on `baton`, waking the OS thread that waits on it, and
+    /// counts the hand-off.
+    pub(crate) fn hand_off<T>(&self, baton: &Baton<T>, value: T) {
+        self.os_handoffs.fetch_add(1, Ordering::Relaxed);
+        baton.put(value);
     }
 
     /// Draws a fresh, strictly increasing ticket.
@@ -351,60 +332,39 @@ impl Shared {
 
     /// Registers a new process (from the builder or a running process).
     ///
-    /// In the default pooled mode the body is queued in the slot and no
-    /// thread is touched until the process is first dispatched (so a
-    /// simulation that is built but never run engages no host at all). In
-    /// legacy mode (`reuse_hosts == false`) a dedicated thread is spawned
-    /// eagerly, exactly as the seed kernel did, and idles on the baton
-    /// until first dispatched — kept as the honest baseline for the
-    /// exploration benchmarks.
-    pub(crate) fn spawn_process<F>(self: &Arc<Self>, name: &str, daemon: bool, f: F) -> Pid
+    /// The body is queued in the slot and no thread is touched until the
+    /// process is first dispatched (so a simulation that is built but
+    /// never run engages no host at all).
+    pub(crate) fn spawn_process<F>(&self, name: &str, daemon: bool, f: F) -> Pid
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        let baton = Arc::new(Baton::new());
-        let mut body: Option<PendingJob> = Some(Box::new(f));
-        let pid;
-        {
-            let mut st = self.state.lock();
-            pid = Pid(st.procs.len() as u32);
-            let pending = if st.reuse_hosts { body.take() } else { None };
-            st.procs.push(ProcSlot {
+        let mut st = self.state.lock();
+        let pid = Pid(st.procs.len() as u32);
+        st.procs.push(ProcSlot {
+            name: name.to_string(),
+            daemon,
+            status: ProcessStatus::Ready,
+            baton: Arc::new(Baton::new()),
+            pending: Some(Box::new(f)),
+            park_token: 0,
+            timed_out: false,
+            spurious_wake: false,
+            wait_started: None,
+            starvation_flagged: false,
+            blocked_since: None,
+        });
+        st.metrics.per_pid.push(PidMetrics::default());
+        st.ready.push(pid);
+        let clock = st.clock;
+        st.trace.push(
+            clock,
+            pid,
+            EventKind::Spawned {
                 name: name.to_string(),
                 daemon,
-                status: ProcessStatus::Ready,
-                baton: Arc::clone(&baton),
-                pending,
-                park_token: 0,
-                timed_out: false,
-                spurious_wake: false,
-                wait_started: None,
-                starvation_flagged: false,
-                blocked_since: None,
-            });
-            st.metrics.per_pid.push(PidMetrics::default());
-            st.ready.push(pid);
-            let clock = st.clock;
-            st.trace.push(
-                clock,
-                pid,
-                EventKind::Spawned {
-                    name: name.to_string(),
-                    daemon,
-                },
-            );
-        }
-        if let Some(f) = body {
-            // Legacy eager spawn. The gate rises at spawn time (the thread
-            // exists now) and falls when `legacy_process_main` returns,
-            // cancellation included.
-            self.job_begin();
-            let shared = Arc::clone(self);
-            std::thread::Builder::new()
-                .name(format!("sim-{name}"))
-                .spawn(move || legacy_process_main(shared, pid, baton, f))
-                .expect("failed to spawn simulator process thread");
-        }
+            },
+        );
         pid
     }
 }
@@ -424,26 +384,10 @@ struct KilledMarker;
 /// [`ProcessStatus::Cancelled`]: an abort is a recovery action, not a crash.
 struct AbortedMarker;
 
-/// Entry point of a legacy (`reuse_hosts == false`) per-process thread:
-/// the seed protocol, waiting on the baton for its first command.
-fn legacy_process_main(shared: Arc<Shared>, pid: Pid, baton: Arc<Baton<Go>>, f: PendingJob) {
-    match baton.take() {
-        Go::Cancel => {}
-        Go::Run => run_process(&shared, pid, f),
-        // A kill-point counts scheduling points, and a process that has
-        // never run has none, so a kill cannot be its first command.
-        Go::Kill => unreachable!("kill delivered to a never-dispatched process"),
-        // Deadlock recovery only aborts *blocked* processes, which have run.
-        Go::Abort => unreachable!("abort delivered to a never-dispatched process"),
-    }
-    shared.job_done();
-}
-
-/// Runs one process body to completion on the current thread — a pooled
-/// host (see [`crate::pool`]) or a legacy per-process thread — and reports
-/// how it ended. The caller has already been dispatched: unlike the seed
-/// protocol there is no initial `Go::Run` wait in the pooled path (the job
-/// handoff *is* the first dispatch).
+/// Runs one process body to completion on the current pooled host thread
+/// (see [`crate::pool`]) and reports how it ended. The caller has already
+/// been dispatched: there is no initial `Go::Run` wait (the job handoff
+/// *is* the first dispatch).
 pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, f: PendingJob) {
     let ctx = Ctx::new(Arc::clone(shared), pid);
     let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
@@ -467,17 +411,17 @@ pub(crate) fn run_process(shared: &Arc<Shared>, pid: Pid, f: PendingJob) {
             if payload.is::<KilledMarker>() {
                 // Kill-point unwind complete (all drop guards have run);
                 // the scheduler is blocked waiting for exactly this report.
-                shared.sched_baton.put(Report::Killed);
+                shared.hand_off(&shared.sched_baton, Report::Killed);
                 return;
             }
             if payload.is::<AbortedMarker>() {
                 // Deadlock-recovery unwind complete; the scheduler is
                 // blocked waiting for exactly this report.
-                shared.sched_baton.put(Report::Aborted);
+                shared.hand_off(&shared.sched_baton, Report::Aborted);
                 return;
             }
             let message = panic_message(payload);
-            shared.sched_baton.put(Report::Panicked { pid, message });
+            shared.hand_off(&shared.sched_baton, Report::Panicked { pid, message });
         }
     }
 }
@@ -540,11 +484,11 @@ pub struct SimReport {
     /// order. These processes end with status
     /// [`ProcessStatus::Cancelled`], not [`ProcessStatus::Killed`].
     pub recovered: Vec<Pid>,
-    /// Whether the run stayed within the contract of the explorers'
-    /// equivalence prune (no timers, no process-visible clock reads, no
-    /// faults, no starvation watchdog). When `false`, every
-    /// [`Decision::pure`] bit has been forced to `false`, so explorers need
-    /// not consult this field separately.
+    /// Whether the run stayed within the contract of the explorer's
+    /// revisit prune (no timers, no process-visible clock reads, no
+    /// faults, no starvation watchdog). When `false`, every footprint in
+    /// [`SimReport::quanta`] has been forced to [`Footprint::All`], so the
+    /// explorer need not consult this field separately.
     pub prune_safe: bool,
     /// Run-anatomy counters (dispatches, parks/wakes by reason, queue
     /// high-water marks, per-mechanism sync ops, replay divergence).
@@ -585,20 +529,14 @@ impl SimReport {
     }
 }
 
-fn snapshot(st: &mut State) -> SimReport {
-    let mut decisions = std::mem::take(&mut st.decisions);
+fn snapshot(shared: &Shared, st: &mut State) -> SimReport {
     let mut quanta = std::mem::take(&mut st.quanta);
     if !st.prune_safe {
-        // A pure quantum commutes with its siblings only up to a one-tick
-        // shift of the intervening virtual times; once anything in the run
-        // was time-sensitive, no decision may be treated as prunable.
-        for d in &mut decisions {
-            d.pure = false;
-        }
-        // Same hardening for the footprint log: timers and faults act
-        // outside any quantum, so recorded footprints understate what a
-        // quantum's reordering could perturb. Forcing them to `All` makes
-        // the explorers' sleep-set analysis self-disable for this run.
+        // Timers and faults act outside any quantum, and commuting quanta
+        // shifts the intervening virtual times, so recorded footprints
+        // understate what a quantum's reordering could perturb. Forcing
+        // them to `All` makes the revisit race analysis request every
+        // sibling of this run.
         for q in &mut quanta {
             q.footprint = Footprint::All;
         }
@@ -617,6 +555,7 @@ fn snapshot(st: &mut State) -> SimReport {
         st.settle_blocked_time(pid);
     }
     st.metrics.replay = st.policy.replay_divergence().unwrap_or_default();
+    st.metrics.os_handoffs = shared.os_handoffs.load(Ordering::Relaxed);
     // Release the policy on *this* thread, now that the run is over and it
     // can never be consulted again. The kernel state itself is freed when
     // the last `Arc<Shared>` drops, which can be a beat later on a pooled
@@ -627,7 +566,7 @@ fn snapshot(st: &mut State) -> SimReport {
     st.policy = Box::new(FifoPolicy);
     SimReport {
         trace: std::mem::take(&mut st.trace),
-        decisions,
+        decisions: std::mem::take(&mut st.decisions),
         steps: st.step,
         final_time: st.clock,
         processes: st
@@ -654,27 +593,11 @@ fn snapshot(st: &mut State) -> SimReport {
     }
 }
 
-/// What one [`drive`] call produced.
-pub(crate) enum DriveOutcome {
-    /// The run reached `pause_at` contested decisions and is parked at the
-    /// next contested dispatch, nothing mutated for it yet: a frozen,
-    /// resumable snapshot (see [`crate::HeldRun`]).
-    Paused,
-    /// The run finished (boxed: a report is large, a pause is nothing).
-    Done(Box<Result<SimReport, SimError>>),
-}
-
-/// Result of the phase-1 dispatch tail ([`pick_and_dispatch`]).
-enum Picked {
-    /// The pause hook fired: `pause_at` contested decisions reached and
-    /// nothing mutated for the next one (see [`crate::HeldRun`]).
-    Paused,
-    /// A process was chosen and all dispatch bookkeeping is done.
-    Go {
-        next: Pid,
-        baton: Arc<Baton<Go>>,
-        pending: Option<PendingJob>,
-    },
+/// The process phase 1 picked, with what phase 2 needs to hand it the CPU.
+struct Picked {
+    next: Pid,
+    baton: Arc<Baton<Go>>,
+    pending: Option<PendingJob>,
 }
 
 /// The dispatch tail of phase 1, shared by the scheduler loop and the
@@ -685,17 +608,9 @@ enum Picked {
 /// step budget has room.
 fn pick_and_dispatch(st: &mut State) -> Picked {
     let idx = if st.ready.len() == 1 {
-        st.cur_decided = false;
-        st.cur_sched_decision = None;
+        st.cur_ready = None;
         0
     } else {
-        // Pause hook for held runs: the policy has not been consulted and
-        // nothing has been mutated for this decision yet, so the run can
-        // resume later as if uninterrupted.
-        if st.pause_at == Some(st.decisions.len()) {
-            return Picked::Paused;
-        }
-        st.cur_decided = true;
         // The trait contract promises policies at least two candidates at
         // a contested dispatch; assert the kernel keeps that promise (the
         // len == 1 arm above handles the forced case, and an empty ready
@@ -712,18 +627,12 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
             .policy
             .choose(&state.ready, step)
             .min(state.ready.len() - 1);
-        st.cur_sched_decision = Some(st.decisions.len());
         st.decisions.push(Decision::sched(arity, pick as u32));
+        // Footprint bookkeeping for the quantum about to run: remember the
+        // candidate list of a contested dispatch (index c is what sibling
+        // choice c would have dispatched).
+        st.cur_ready = st.record_quanta.then(|| st.ready.clone());
         pick
-    };
-    // Footprint bookkeeping for the quantum about to run: remember the
-    // candidate list of a contested dispatch (index c is what sibling
-    // choice c would have dispatched) and reset the per-quantum access
-    // collection.
-    st.cur_ready = if st.cur_decided && st.record_quanta {
-        Some(st.ready.clone())
-    } else {
-        None
     };
     st.quantum_objs.clear();
     let next = st.ready.remove(idx);
@@ -784,7 +693,7 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
         let clock = st.clock;
         st.trace.push(clock, next, EventKind::Scheduled);
     }
-    Picked::Go {
+    Picked {
         baton: Arc::clone(&st.procs[next.index()].baton),
         pending: st.procs[next.index()].pending.take(),
         next,
@@ -792,53 +701,29 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
 }
 
 /// Phase 2: hands the CPU to `next` (without holding the state lock). The
-/// first dispatch of a pooled process hands its queued body to a host
+/// first dispatch of a process hands its queued body to a pooled host
 /// thread; every later dispatch sends `Go::Run`.
-fn hand_cpu(shared: &Arc<Shared>, next: Pid, baton: &Baton<Go>, pending: Option<PendingJob>) {
-    shared.quantum_dirty.store(false, Ordering::Relaxed);
+fn hand_cpu(shared: &Arc<Shared>, picked: Picked) {
     shared.quantum_all.store(false, Ordering::Relaxed);
-    match pending {
+    match picked.pending {
         Some(f) => {
+            shared.os_handoffs.fetch_add(1, Ordering::Relaxed);
             shared.job_begin();
             pool::dispatch(Job {
                 shared: Arc::clone(shared),
-                pid: next,
+                pid: picked.next,
                 f,
             });
         }
-        None => baton.put(Go::Run),
+        None => shared.hand_off(&picked.baton, Go::Run),
     }
 }
 
 /// The read-side of phase 3, shared by the scheduler loop and the inline
-/// continuation path: classify the just-ended quantum's purity and record
-/// its footprint. Consumes `cur_decided`/`cur_ready` (set at dispatch).
+/// continuation path: record the just-ended quantum's footprint. Consumes
+/// `cur_ready` (set at dispatch).
 fn account_stop(shared: &Shared, st: &mut State, pid: Pid, report: &Report) {
     st.running = None;
-    // Purity classification (see `Decision::pure`): the quantum must have
-    // touched nothing observable and stopped with a plain yield. A pure
-    // *finish* is also a stutter, except when daemons exist — deferring
-    // the last non-daemon's finish would give a daemon an extra quantum,
-    // which is an observably different schedule.
-    if st.cur_decided {
-        let dirty = shared.quantum_dirty.load(Ordering::Relaxed);
-        let pure = !dirty
-            && match report {
-                Report::Yielded => true,
-                Report::Finished => !st.procs.iter().any(|p| p.daemon),
-                _ => false,
-            };
-        if pure {
-            // Addressed by index, not `last_mut`: a `choose_value` call
-            // inside the quantum appends data decisions after the
-            // dispatch's entry (and itself marks the quantum dirty, so
-            // this branch is then unreachable — the index is still the
-            // only correct target).
-            if let Some(i) = st.cur_sched_decision {
-                st.decisions[i].pure = true;
-            }
-        }
-    }
     // Footprint log: drain what the quantum reported, add the
     // kernel-implicit accesses, and record. A parking quantum writes its
     // own park slot (the same pseudo-object `Ctx::is_parked` reads and
@@ -992,24 +877,25 @@ pub(crate) enum StopOutcome {
 
 /// A running process stops here (yield, park, sleep, finish).
 ///
-/// In the seed protocol every stop wakes the scheduler loop, which does
-/// phase 3 (account the stop) and phase 1 (pick next) and then wakes the
-/// chosen process: two thread hand-offs per quantum even when the pick is
-/// forced. When [`Shared::inline`] is armed, the stopping process instead
-/// runs both phases itself under the state lock — the one-running-process
-/// invariant makes it the only executing process, so the state it sees and
-/// the mutations it applies are exactly the ones the scheduler loop would
-/// have seen and applied, in the same order — and hands the CPU directly
-/// to the next process (or keeps it, if the pick comes back to itself).
-/// The scheduler loop stays parked in `sched_baton.take()` the whole time
-/// and is only woken, via [`Report::Rescan`], for the cases it alone can
-/// handle: run termination, an empty ready list (timer firing, deadlock
-/// detection and recovery), the step budget, and held-run pause points.
+/// In the scheduler-loop protocol every stop wakes the scheduler loop,
+/// which does phase 3 (account the stop) and phase 1 (pick next) and then
+/// wakes the chosen process: two thread hand-offs per quantum even when
+/// the pick is forced. When [`Shared::inline`] is armed, the stopping
+/// process instead runs both phases itself under the state lock — the
+/// one-running-process invariant makes it the only executing process, so
+/// the state it sees and the mutations it applies are exactly the ones the
+/// scheduler loop would have seen and applied, in the same order — and
+/// hands the CPU directly to the next process (or keeps it, if the pick
+/// comes back to itself). The scheduler loop stays parked in
+/// `sched_baton.take()` the whole time and is only woken, via
+/// [`Report::Rescan`], for the cases it alone can handle: run termination,
+/// an empty ready list (timer firing, deadlock detection and recovery),
+/// and the step budget.
 pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> StopOutcome {
     if !shared.inline.load(Ordering::Relaxed) {
-        // Seed protocol: hand the report to the scheduler loop, which does
-        // all accounting and the next dispatch.
-        shared.sched_baton.put(report);
+        // Hand the report to the scheduler loop, which does all
+        // accounting and the next dispatch.
+        shared.hand_off(&shared.sched_baton, report);
         return StopOutcome::Handed;
     }
     let mut st = shared.state.lock();
@@ -1025,76 +911,46 @@ pub(crate) fn stop_process(shared: &Arc<Shared>, pid: Pid, report: Report) -> St
         || st.procs.iter().all(|p| p.daemon || !p.status.is_live())
     {
         drop(st);
-        shared.sched_baton.put(Report::Rescan);
+        shared.hand_off(&shared.sched_baton, Report::Rescan);
         return StopOutcome::Handed;
     }
-    match pick_and_dispatch(&mut st) {
-        Picked::Paused => {
-            drop(st);
-            shared.sched_baton.put(Report::Rescan);
-            StopOutcome::Handed
-        }
-        Picked::Go {
-            next,
-            baton: _,
-            pending,
-        } if next == pid => {
-            // Picked right back: skip both hand-offs. Only a yield can
-            // land here (any other stop leaves the caller off the ready
-            // list), so the body was dispatched long ago.
-            debug_assert!(pending.is_none());
-            drop(st);
-            shared.quantum_dirty.store(false, Ordering::Relaxed);
-            shared.quantum_all.store(false, Ordering::Relaxed);
-            StopOutcome::SelfResume
-        }
-        Picked::Go {
-            next,
-            baton,
-            pending,
-        } => {
-            drop(st);
-            hand_cpu(shared, next, &baton, pending);
-            StopOutcome::Handed
-        }
+    let picked = pick_and_dispatch(&mut st);
+    drop(st);
+    if picked.next == pid {
+        // Picked right back: skip both hand-offs. Only a yield can land
+        // here (any other stop leaves the caller off the ready list), so
+        // the body was dispatched long ago.
+        debug_assert!(picked.pending.is_none());
+        shared.quantum_all.store(false, Ordering::Relaxed);
+        return StopOutcome::SelfResume;
     }
+    hand_cpu(shared, picked);
+    StopOutcome::Handed
 }
 
 /// The scheduler loop. Runs on the thread that called [`crate::Sim::run`]
-/// (or [`crate::HeldRun::finish`]/[`crate::HeldRun::advance_to`], which
-/// re-enter it — the loop is resumable because everything it needs lives
-/// in [`State`], not on this stack).
-///
-/// With `pause_at == Some(k)` the loop returns [`DriveOutcome::Paused`]
-/// just before consulting the policy for contested decision `k`; the
-/// one-running-process invariant means no process is mid-quantum then, so
-/// a later call picks up exactly where this one stopped.
-pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutcome {
+/// and returns the finished run.
+pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
     let error: Option<SimErrorKind>;
     {
         // Static prune-safety gate: fault plans reorder effects around kill
         // points and the starvation watchdog's verdicts depend on absolute
-        // wait ages, so both void the commutation argument behind
-        // `Decision::pure` for the whole run. (Re-running the gate on
-        // resume is an idempotent store.)
+        // wait ages, so both void the commutation argument behind the
+        // footprint log for the whole run.
         let mut st = shared.state.lock();
         if st.faults.active() || st.starvation_bound.is_some() {
             st.prune_safe = false;
         }
-        st.pause_at = pause_at;
         // Arm the inline continuation fast path (see `stop_process`).
         // Fault plans need the kill/spurious hand-shakes of the scheduler
-        // loop, the watchdog must run at every dispatch on the loop's
-        // clock, and legacy mode keeps the seed protocol byte-for-byte.
-        let inline = st.reuse_hosts && !st.faults.active() && st.starvation_bound.is_none();
+        // loop, and the watchdog must run at every dispatch on the loop's
+        // clock.
+        let inline = !st.faults.active() && st.starvation_bound.is_none();
         shared.inline.store(inline, Ordering::Relaxed);
     }
     loop {
         // Phase 1: pick the next process (or detect termination/deadlock).
-        let next: Pid;
-        let baton: Arc<Baton<Go>>;
-        let pending: Option<PendingJob>;
-        {
+        let picked = {
             let mut st = shared.state.lock();
             // The run is complete once no non-daemon process is live, even
             // if daemon processes are still runnable or sleeping.
@@ -1200,12 +1056,11 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                     st.quantum_objs.clear();
                     let record_abort = st.record_quanta;
                     drop(st);
-                    shared.quantum_dirty.store(false, Ordering::Relaxed);
                     shared.quantum_all.store(false, Ordering::Relaxed);
                     // The victim is blocked in `obey(baton.take())`; while it
                     // unwinds it is the only executing process, exactly as in
                     // the kill hand-shake above.
-                    victim_baton.put(Go::Abort);
+                    shared.hand_off(&victim_baton, Go::Abort);
                     match shared.sched_baton.take() {
                         Report::Aborted => {}
                         Report::Panicked { message, .. } => {
@@ -1216,20 +1071,20 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                             drop(st);
                             shutdown(shared);
                             let mut st = shared.state.lock();
-                            let report = snapshot(&mut st);
-                            return DriveOutcome::Done(Box::new(Err(SimError {
+                            let report = snapshot(shared, &mut st);
+                            return Err(SimError {
                                 kind: SimErrorKind::ProcessPanicked {
                                     pid: victim,
                                     message,
                                 },
                                 report: Box::new(report),
-                            })));
+                            });
                         }
                         _ => unreachable!("abort unwind reports Aborted or Panicked"),
                     }
                     let mut st = shared.state.lock();
                     // Record the unwind as a forced bookkeeping quantum of
-                    // the victim so the sleep-set walk sees its effects
+                    // the victim so the race analysis sees its effects
                     // (`ready: None` keeps it out of the decision
                     // alignment). The victim also leaves the blocked set,
                     // which is a write of its park slot and of the global
@@ -1278,26 +1133,16 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                 });
                 break;
             }
-            match pick_and_dispatch(&mut st) {
-                Picked::Paused => return DriveOutcome::Paused,
-                Picked::Go {
-                    next: n,
-                    baton: b,
-                    pending: p,
-                } => {
-                    next = n;
-                    baton = b;
-                    pending = p;
-                }
-            }
-        }
+            pick_and_dispatch(&mut st)
+        };
+        let next = picked.next;
 
         // Phase 2: hand over the CPU and wait for a report. Under the
         // inline continuation path the running processes account their own
         // stops and hand the CPU among themselves; the take() below then
         // spans many quanta and only returns for a deferral (Rescan) or a
         // panic.
-        hand_cpu(shared, next, &baton, pending);
+        hand_cpu(shared, picked);
         let report = shared.sched_baton.take();
         if matches!(report, Report::Rescan) {
             // The stop was already accounted inline; re-run phase 1 only.
@@ -1341,7 +1186,7 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
             // (the scheduler blocks on the report), so drop guards may
             // lock state, emit trace events, and try_unpark — but must
             // never park or panic.
-            baton.put(Go::Kill);
+            shared.hand_off(&baton, Go::Kill);
             match shared.sched_baton.take() {
                 Report::Killed => {}
                 Report::Panicked { message, .. } => {
@@ -1354,14 +1199,14 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                     drop(st);
                     shutdown(shared);
                     let mut st = shared.state.lock();
-                    let report = snapshot(&mut st);
-                    return DriveOutcome::Done(Box::new(Err(SimError {
+                    let report = snapshot(shared, &mut st);
+                    return Err(SimError {
                         kind: SimErrorKind::ProcessPanicked {
                             pid: stop_pid,
                             message,
                         },
                         report: Box::new(report),
-                    })));
+                    });
                 }
                 _ => unreachable!("kill unwind reports Killed or Panicked"),
             }
@@ -1378,11 +1223,11 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
                 drop(st);
                 shutdown(shared);
                 let mut st = shared.state.lock();
-                let report = snapshot(&mut st);
-                return DriveOutcome::Done(Box::new(Err(SimError {
+                let report = snapshot(shared, &mut st);
+                return Err(SimError {
                     kind: SimErrorKind::ProcessPanicked { pid, message },
                     report: Box::new(report),
-                })));
+                });
             }
             // Only ever sent in response to Go::Kill, which the kill path
             // above consumes directly.
@@ -1416,21 +1261,19 @@ pub(crate) fn drive(shared: &Arc<Shared>, pause_at: Option<usize>) -> DriveOutco
         );
     }
     let mut st = shared.state.lock();
-    let report = snapshot(&mut st);
-    DriveOutcome::Done(Box::new(match error {
+    let report = snapshot(shared, &mut st);
+    match error {
         None => Ok(report),
         Some(kind) => Err(SimError {
             kind,
             report: Box::new(report),
         }),
-    }))
+    }
 }
 
 /// Cancels every still-live process and waits (via the job gate) for all
 /// started process bodies to return or unwind — the seed's thread joins,
-/// reformulated so it works for pooled hosts too. Idempotent: a second
-/// call finds no live process, no pending body, and a zero gate, which is
-/// what lets [`crate::HeldRun`]'s `Drop` call it unconditionally.
+/// reformulated so it works for pooled hosts too.
 pub(crate) fn shutdown(shared: &Arc<Shared>) {
     // Raise the flag before any cancellation: cancelled threads unwind
     // concurrently, and their drop guards check it (via Ctx::cancelling)
@@ -1441,7 +1284,7 @@ pub(crate) fn shutdown(shared: &Arc<Shared>) {
         let mut st = shared.state.lock();
         for p in st.procs.iter_mut() {
             if let Some(f) = p.pending.take() {
-                // Never dispatched in pooled mode: no host is engaged, so
+                // Never dispatched: no host is engaged, so
                 // there is nothing to cancel — the body is simply dropped
                 // (outside the lock below; closures own arbitrary state).
                 p.status = ProcessStatus::Cancelled;
@@ -1449,7 +1292,7 @@ pub(crate) fn shutdown(shared: &Arc<Shared>) {
                 continue;
             }
             if p.status.is_live() {
-                p.baton.put(Go::Cancel);
+                shared.hand_off(&p.baton, Go::Cancel);
                 p.status = ProcessStatus::Cancelled;
             }
         }

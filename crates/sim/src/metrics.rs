@@ -89,6 +89,16 @@ pub struct SimMetrics {
     /// Replay divergence observed by the run's policy (all zero unless the
     /// policy was a [`crate::ReplayPolicy`] that diverged).
     pub replay: ReplayDivergence,
+    /// Real OS-thread hand-offs: every wake of another OS thread during
+    /// the run — a pool dispatch of a process body, a command put on a
+    /// process's baton (run, kill, abort, cancel) or a report put on the
+    /// scheduler's baton. A process that the inline path picks right back
+    /// keeps its thread and counts nothing. Unlike the logical
+    /// [`SimMetrics::context_switches`], this counts what the kernel's
+    /// thread protocol costs; it is a pure function of the schedule, so a
+    /// host-independent proxy for per-run wall time. Not exported by
+    /// [`crate::export`].
+    pub os_handoffs: u64,
 }
 
 impl SimMetrics {

@@ -1,55 +1,52 @@
-//! Work-sharing parallel schedule exploration.
+//! The exploration engine: a work-sharing frontier of branch prefixes.
 //!
-//! [`ParallelExplorer`] explores the same decision tree as
-//! [`crate::Explorer`], but with a pool of worker threads
-//! (`std::thread::scope` — no extra dependencies, no unsafe). The tree is
-//! embarrassingly parallel at prefix boundaries:
+//! [`crate::ExploreConfig::run`] drives this engine with one or more
+//! workers (`std::thread::scope` — no extra dependencies, no unsafe; a
+//! single worker runs on the calling thread). The tree is embarrassingly
+//! parallel at prefix boundaries:
 //!
-//! * A shared frontier (`Mutex<Vec<Vec<u32>>>`) holds unexplored branch
-//!   prefixes, seeded with the empty prefix (the canonical first schedule).
-//! * A worker pops a prefix, runs the scenario under a [`crate::ReplayPolicy`]
-//!   for it (decisions past the prefix take the canonical choice 0), and
-//!   for every decision point the run *discovered* — indices at or beyond
-//!   the prefix length — pushes each sibling branch `decisions[..i] ⧺ [c]`,
-//!   `c ∈ 1..arity`, back onto the frontier. Each leaf is generated exactly
-//!   once: by the prefix that ends at its last non-zero choice.
+//! * A shared frontier (a `BTreeSet<Vec<u32>>`) holds unexplored branch
+//!   prefixes, seeded with the empty prefix (the canonical first
+//!   schedule), and is popped in lexicographic order.
+//! * A worker pops a prefix, runs the scenario under a
+//!   [`crate::ReplayPolicy`] for it (decisions past the prefix take the
+//!   canonical choice 0), and schedules sibling branches
+//!   `decisions[..i] ⧺ [c]` of the decision points the run *discovered*
+//!   (indices at or beyond the prefix length): every sibling when pruning
+//!   is off, each leaf generated exactly once by the prefix that ends at
+//!   its last non-zero choice; only the race-requested ones in
+//!   [`crate::PruneMode::Revisit`].
 //! * The run's outcome is mapped to a journal entry on the spot (outcomes
-//!   are never buffered whole — a 300k-schedule tree of full [`SimReport`]s
-//!   would not fit in memory) and appended to the worker's own journal.
+//!   are never buffered whole — a 300k-schedule tree of full
+//!   [`SimReport`]s would not fit in memory) and appended to the worker's
+//!   own journal.
 //!
 //! Determinism is load-bearing in this repository, so the merge is
 //! canonical: per-worker journals are concatenated and sorted by the full
-//! decision vector of each schedule, which is exactly the depth-first
-//! visit order of the serial explorer. Schedule counts, journals, and any
-//! report text derived from them are byte-identical for every thread
-//! count — and identical to [`crate::Explorer`] (verified by the
-//! `parallel_explore` integration test).
+//! decision vector of each schedule. Schedule counts, journals, and any
+//! report text derived from them are byte-identical for every worker
+//! count (verified by the `parallel_explore` integration test).
 //!
-//! The budget is also deterministic: workers claim budget slots from an
-//! atomic counter before running, so exactly `min(budget, tree)` schedules
-//! execute regardless of interleaving; *which* schedules run under an
-//! exhausted budget is scheduling-dependent, so only `schedules` and
-//! `complete` (not the journal) are guaranteed stable for budget-cut
-//! explorations. All exhaustive call sites in this repository are
-//! budgeted above their tree size.
+//! Every unvisited schedule descends from a frontier entry that is
+//! lexicographically no greater than it, so a single worker popping the
+//! least prefix executes schedules in canonical depth-first order. The
+//! budget is deterministic too: workers claim budget slots from an atomic
+//! counter before running, so exactly `min(budget, tree)` schedules
+//! execute. Under an exhausted budget, one worker runs exactly the first
+//! `budget` schedules of the sorted journal; with more workers *which*
+//! schedules run is scheduling-dependent, so only `schedules` and
+//! `complete` (not the journal) are stable then.
 
 use crate::error::SimError;
-use crate::explore::victim_killed;
-use crate::explore::{
-    bump_depth, merge_conflicts, merge_depth, walk_run, ExploreError, ExploreStats, KillPointCount,
-    KillPointStats, ProgressCallback, PruneMode, SleepSet, SpineRunner,
-};
-use crate::fault::FaultPlan;
-use crate::footprint::QuantumRecord;
+use crate::explore::{bump_depth, merge_conflicts, ExploreConfig, ExploreError, ExploreStats};
 use crate::kernel::SimReport;
-use crate::policy::CheckpointSpacing;
+use crate::policy::ReplayPolicy;
 use crate::revisit::plan_revisits;
 use crate::sim::Sim;
 use crate::trace::Decision;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// One schedule's entry in a merged exploration journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,11 +57,10 @@ pub struct ScheduleRecord<T> {
     pub value: T,
 }
 
-/// Shared frontier of unexplored branch prefixes, each carrying the sleep
-/// set its run inherits (the branched-from node's `child_sleep` — see
-/// [`crate::explore`]'s module docs; empty when pruning is off).
+/// Shared frontier of unexplored branch prefixes.
 struct Frontier {
-    stack: Vec<(Vec<u32>, SleepSet)>,
+    /// Popped least-first, which is canonical depth-first order.
+    pending: BTreeSet<Vec<u32>>,
     /// Workers currently expanding a popped prefix (may push more work).
     active: usize,
     /// Raised on budget exhaustion or worker panic: drain and exit.
@@ -97,21 +93,12 @@ impl Drop for ActiveGuard<'_> {
 /// Mutable exploration state shared by the workers. Everything here is
 /// merge-order-independent (atomic adds, elementwise histogram adds, a
 /// lexicographic minimum), which is what keeps the final [`ExploreStats`]
-/// byte-identical across thread counts.
+/// byte-identical across worker counts.
 struct SharedStats {
     claimed: AtomicUsize,
     budget_hit: AtomicBool,
-    depth_pruned: Mutex<Vec<usize>>,
-    conflicts: Mutex<BTreeMap<String, u64>>,
     first_error: Mutex<Option<ExploreError>>,
-    /// Total race-derived branch requests (including already-scheduled
-    /// duplicates); a per-run pure function, so the sum is
-    /// order-independent. See [`ExploreStats::revisit_requests`].
-    revisit_requests: AtomicU64,
-    /// Total symbolic value requests (including duplicates); also a
-    /// per-run pure function. See [`ExploreStats::sym_requests`].
-    sym_requests: AtomicU64,
-    /// Revisit-mode grant state; `None` in the sleep-set modes.
+    /// Revisit-mode grant state; `None` when pruning is off.
     revisit: Option<Mutex<RevisitShared>>,
 }
 
@@ -133,30 +120,18 @@ struct RevisitShared {
     /// [`ExploreStats::sym_grants`]).
     data_potential: Vec<usize>,
     data_granted: Vec<usize>,
+    /// Per-object race tally (see [`ExploreStats::conflicts`]).
+    conflicts: BTreeMap<String, u64>,
+    /// Total race-derived branch requests (including already-scheduled
+    /// duplicates); a per-run pure function, so the sum is
+    /// order-independent. See [`ExploreStats::revisit_requests`].
+    revisit_requests: u64,
+    /// Total symbolic value requests (including duplicates); also a
+    /// per-run pure function. See [`ExploreStats::sym_requests`].
+    sym_requests: u64,
 }
 
 impl SharedStats {
-    fn new(revisit: bool) -> Self {
-        SharedStats {
-            claimed: AtomicUsize::new(0),
-            budget_hit: AtomicBool::new(false),
-            depth_pruned: Mutex::new(Vec::new()),
-            conflicts: Mutex::new(BTreeMap::new()),
-            first_error: Mutex::new(None),
-            revisit_requests: AtomicU64::new(0),
-            sym_requests: AtomicU64::new(0),
-            revisit: revisit.then(|| {
-                Mutex::new(RevisitShared {
-                    scheduled: BTreeSet::from([Vec::new()]),
-                    potential: Vec::new(),
-                    granted: Vec::new(),
-                    data_potential: Vec::new(),
-                    data_granted: Vec::new(),
-                })
-            }),
-        }
-    }
-
     /// Keeps the failure whose decision vector is least in canonical
     /// depth-first order — the same winner regardless of which worker
     /// found which failure first.
@@ -169,497 +144,285 @@ impl SharedStats {
     }
 }
 
-/// Work-sharing parallel version of [`crate::Explorer`].
-#[derive(Debug, Clone)]
-pub struct ParallelExplorer {
-    max_schedules: usize,
-    threads: usize,
-    prune: bool,
-    mode: PruneMode,
-    checkpoint: CheckpointSpacing,
-    progress_every: usize,
-    progress: ProgressCallback,
+/// Explores the scenario produced by `setup` under `config`, mapping
+/// every schedule to a journal entry via `map`, and returns the journal
+/// merged in canonical order together with the stats.
+pub(crate) fn explore<S, M, T>(
+    config: &ExploreConfig,
+    setup: S,
+    map: M,
+) -> (Vec<ScheduleRecord<T>>, ExploreStats)
+where
+    S: Fn() -> Sim + Sync,
+    M: Fn(&[Decision], &Result<SimReport, SimError>) -> T + Sync,
+    T: Send,
+{
+    let sync = Coordinator {
+        frontier: Mutex::new(Frontier {
+            pending: BTreeSet::from([Vec::new()]),
+            active: 0,
+            stop: false,
+        }),
+        available: Condvar::new(),
+    };
+    let shared = SharedStats {
+        claimed: AtomicUsize::new(0),
+        budget_hit: AtomicBool::new(false),
+        first_error: Mutex::new(None),
+        revisit: config.mode.is_some().then(|| {
+            Mutex::new(RevisitShared {
+                scheduled: BTreeSet::from([Vec::new()]),
+                potential: Vec::new(),
+                granted: Vec::new(),
+                data_potential: Vec::new(),
+                data_granted: Vec::new(),
+                conflicts: BTreeMap::new(),
+                revisit_requests: 0,
+                sym_requests: 0,
+            })
+        }),
+    };
+    let worker = || self::worker(config, &sync, &shared, &setup, &map);
+    let mut journal: Vec<ScheduleRecord<T>> = match config.threads.unwrap_or(1) {
+        1 => worker(),
+        threads => {
+            let journals: Mutex<Vec<ScheduleRecord<T>>> = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| {
+                        let journal = worker();
+                        journals.lock().extend(journal);
+                    });
+                }
+            });
+            journals.into_inner()
+        }
+    };
+    journal.sort_unstable_by(|a, b| a.choices.cmp(&b.choices));
+    // The schedule depth histogram is derived from the merged journal
+    // (one record per executed schedule), so it is canonical by
+    // construction.
+    let mut depth_schedules = Vec::new();
+    for r in &journal {
+        bump_depth(&mut depth_schedules, r.choices.len(), 1);
+    }
+    // The prune histogram is settled now: every sibling of every
+    // discovered node that was never granted is a pruned branch. (A
+    // granted-but-unexecuted branch under a budget cut is neither
+    // executed nor pruned, exactly like an unvisited frontier entry.)
+    let mut stats = ExploreStats {
+        schedules: journal.len(),
+        complete: !shared.budget_hit.load(Ordering::Relaxed),
+        depth_schedules,
+        first_error: shared.first_error.into_inner(),
+        ..ExploreStats::default()
+    };
+    if let Some(revisit) = shared.revisit {
+        let rs = revisit.into_inner();
+        for (potential, granted, total) in [
+            (&rs.potential, &rs.granted, &mut stats.revisits),
+            (&rs.data_potential, &rs.data_granted, &mut stats.sym_grants),
+        ] {
+            for (depth, &cap) in potential.iter().enumerate() {
+                let taken = granted.get(depth).copied().unwrap_or(0);
+                debug_assert!(taken <= cap, "granted more siblings than exist");
+                if cap > taken {
+                    bump_depth(&mut stats.depth_pruned, depth, cap - taken);
+                }
+                *total += taken as u64;
+            }
+        }
+        stats.pruned = stats.depth_pruned.iter().sum();
+        stats.conflicts = rs.conflicts;
+        stats.revisit_requests = rs.revisit_requests;
+        stats.sym_requests = rs.sym_requests;
+    }
+    #[cfg(debug_assertions)]
+    stats.assert_consistent();
+    (journal, stats)
 }
 
-impl ParallelExplorer {
-    /// Creates an explorer that runs at most `max_schedules` schedules,
-    /// with one worker per available core (capped at 8).
-    pub fn new(max_schedules: usize) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
-        ParallelExplorer {
-            max_schedules,
-            threads,
-            prune: false,
-            mode: PruneMode::Granular,
-            checkpoint: CheckpointSpacing::default(),
-            progress_every: 0,
-            progress: ProgressCallback::default(),
+/// One worker: pop a prefix, run it, schedule its siblings, journal the
+/// outcome; exit when the frontier drains or `stop` rises.
+fn worker<S, M, T>(
+    config: &ExploreConfig,
+    sync: &Coordinator,
+    shared: &SharedStats,
+    setup: &S,
+    map: &M,
+) -> Vec<ScheduleRecord<T>>
+where
+    S: Fn() -> Sim + Sync,
+    M: Fn(&[Decision], &Result<SimReport, SimError>) -> T + Sync,
+    T: Send,
+{
+    let mut journal = Vec::new();
+    loop {
+        // Pop a prefix, or exit once no work exists and nobody is
+        // expanding (an active worker may still push more).
+        let prefix = {
+            let mut f = sync.frontier.lock();
+            loop {
+                if f.stop {
+                    return journal;
+                }
+                if let Some(p) = f.pending.pop_first() {
+                    f.active += 1;
+                    break p;
+                }
+                if f.active == 0 {
+                    return journal;
+                }
+                sync.available.wait(&mut f);
+            }
+        };
+        let _guard = ActiveGuard { sync };
+        // Claim a budget slot *before* running: exactly
+        // min(budget, tree) schedules execute, deterministically.
+        let claim = shared.claimed.fetch_add(1, Ordering::Relaxed);
+        if claim >= config.budget {
+            shared.budget_hit.store(true, Ordering::Relaxed);
+            let mut f = sync.frontier.lock();
+            f.stop = true;
+            sync.available.notify_all();
+            return journal;
         }
-    }
+        config.progress.tick(claim + 1);
 
-    /// Selects the schedule execution strategy (see
-    /// [`crate::Explorer::with_checkpointing`]). Each worker keeps its own
-    /// private spine over the prefixes it happens to claim, so the win is
-    /// smaller than the serial explorer's — popped prefixes are only
-    /// *mostly* depth-first per worker — but results stay byte-identical.
-    pub fn with_checkpointing(mut self, spacing: CheckpointSpacing) -> Self {
-        self.checkpoint = spacing;
-        self
-    }
-
-    /// Sets the worker count (min 1). Results are identical for every
-    /// thread count; this only tunes throughput.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables the equivalence prune (see [`crate::Explorer::with_pruning`]
-    /// — the pruned tree is identical to the serial explorer's).
-    pub fn with_pruning(mut self) -> Self {
-        self.prune = true;
-        self.mode = PruneMode::Granular;
-        self
-    }
-
-    /// Enables only the pure-stutter layer of the prune (see
-    /// [`crate::Explorer::with_coarse_pruning`] — again byte-identical to
-    /// the serial explorer in the same mode).
-    pub fn with_coarse_pruning(mut self) -> Self {
-        self.prune = true;
-        self.mode = PruneMode::Coarse;
-        self
-    }
-
-    /// Enables the race-driven revisit prune (see
-    /// [`crate::Explorer::with_revisit_pruning`]). The explored schedule
-    /// *set* — and therefore the canonically sorted journal and every
-    /// stat — is identical to the serial explorer's and across thread
-    /// counts: grants are fresh insertions into a shared scheduled set,
-    /// so the set of executed schedules is the same least fixed point no
-    /// matter which worker detects which race first.
-    pub fn with_revisit_pruning(mut self) -> Self {
-        self.prune = true;
-        self.mode = PruneMode::Revisit;
-        self
-    }
-
-    /// Installs a progress callback fired at *virtual* milestones — once
-    /// for every `every`-th schedule claimed from the budget counter, with
-    /// the running claim count as argument — never on wall-clock time, so
-    /// observing progress cannot perturb determinism. For an exhaustive
-    /// exploration the set of milestones is a pure function of the tree
-    /// (claims = schedules); only the thread a callback runs on varies.
-    /// Under a budget cut-off the over-claims that detect exhaustion are
-    /// scheduling-dependent, so the last milestone may vary — the same
-    /// caveat as the journal (see the module docs). `every == 0` disables
-    /// the callback.
-    pub fn with_progress<F>(mut self, every: usize, callback: F) -> Self
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        self.progress_every = every;
-        self.progress = ProgressCallback(Some(Arc::new(callback)));
-        self
-    }
-
-    /// Explores the scenario produced by `setup`, mapping every schedule
-    /// to a journal entry via `map`, and returns the journal merged in
-    /// canonical (serial depth-first) order together with the stats.
-    ///
-    /// `setup` must build an identical simulation each time it is called;
-    /// it and `map` run concurrently on worker threads. A panic in either
-    /// (including assertion failures inside `map`) stops the exploration
-    /// and propagates.
-    pub fn run<S, M, T>(&self, setup: S, map: M) -> (Vec<ScheduleRecord<T>>, ExploreStats)
-    where
-        S: Fn() -> Sim + Sync,
-        M: Fn(&[Decision], &Result<SimReport, SimError>) -> T + Sync,
-        T: Send,
-    {
-        let sync = Coordinator {
-            frontier: Mutex::new(Frontier {
-                stack: vec![(Vec::new(), SleepSet::default())],
-                active: 0,
-                stop: false,
-            }),
-            available: Condvar::new(),
-        };
-        let shared = SharedStats::new(self.prune && self.mode == PruneMode::Revisit);
-        let journals: Mutex<Vec<Vec<ScheduleRecord<T>>>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads {
-                scope.spawn(|| {
-                    let journal = self.worker(&sync, &shared, &setup, &map);
-                    journals.lock().push(journal);
-                });
-            }
-        });
-
-        let mut journal: Vec<ScheduleRecord<T>> =
-            journals.into_inner().into_iter().flatten().collect();
-        journal.sort_unstable_by(|a, b| a.choices.cmp(&b.choices));
-        // The schedule depth histogram is derived from the merged journal
-        // (one record per executed schedule), so it is canonical by
-        // construction; the prune histogram and first error were merged
-        // order-independently as the workers ran.
-        let mut depth_schedules = Vec::new();
-        for r in &journal {
-            bump_depth(&mut depth_schedules, r.choices.len(), 1);
+        let mut sim = setup();
+        sim.set_policy(ReplayPolicy::prefix(prefix.clone()));
+        if config.mode.is_some() {
+            // The race analysis needs the footprint log; unpruned runs
+            // keep the scenario's own setting.
+            sim.set_record_quanta(true);
         }
-        // In revisit mode the prune histogram is settled now, exactly as
-        // in the serial worklist: every sibling of every discovered
-        // contested node that was never granted is a pruned branch.
-        let (depth_pruned, revisits, sym_grants) = match shared.revisit {
-            Some(revisit) => {
-                let rs = revisit.into_inner();
-                let mut depth_pruned = Vec::new();
-                let mut revisits = 0u64;
-                for (depth, &cap) in rs.potential.iter().enumerate() {
-                    let taken = rs.granted.get(depth).copied().unwrap_or(0);
-                    debug_assert!(taken <= cap, "granted more siblings than exist");
-                    if cap > taken {
-                        bump_depth(&mut depth_pruned, depth, cap - taken);
-                    }
-                    revisits += taken as u64;
-                }
-                let mut sym_grants = 0u64;
-                for (depth, &cap) in rs.data_potential.iter().enumerate() {
-                    let taken = rs.data_granted.get(depth).copied().unwrap_or(0);
-                    debug_assert!(taken <= cap, "granted more value siblings than exist");
-                    if cap > taken {
-                        bump_depth(&mut depth_pruned, depth, cap - taken);
-                    }
-                    sym_grants += taken as u64;
-                }
-                (depth_pruned, revisits, sym_grants)
-            }
-            None => (shared.depth_pruned.into_inner(), 0, 0),
+        let result = sim.run();
+        let report = match &result {
+            Ok(report) => report,
+            Err(err) => &err.report,
         };
-        let stats = ExploreStats {
-            schedules: journal.len(),
-            complete: !shared.budget_hit.load(Ordering::Relaxed),
-            pruned: depth_pruned.iter().sum(),
-            depth_schedules,
-            depth_pruned,
-            conflicts: shared.conflicts.into_inner(),
-            revisit_requests: shared.revisit_requests.into_inner(),
-            revisits,
-            sym_requests: shared.sym_requests.into_inner(),
-            sym_grants,
-            first_error: shared.first_error.into_inner(),
-            sampling: None,
-        };
-        #[cfg(debug_assertions)]
-        stats.assert_consistent();
-        (journal, stats)
-    }
-
-    /// One worker: pop a prefix, run it, expand its discovered siblings,
-    /// journal the outcome; exit when the frontier drains or `stop` rises.
-    fn worker<S, M, T>(
-        &self,
-        sync: &Coordinator,
-        shared: &SharedStats,
-        setup: &S,
-        map: &M,
-    ) -> Vec<ScheduleRecord<T>>
-    where
-        S: Fn() -> Sim + Sync,
-        M: Fn(&[Decision], &Result<SimReport, SimError>) -> T + Sync,
-        T: Send,
-    {
-        let mut journal = Vec::new();
-        let mut make = || setup();
-        let record_quanta = if self.prune {
-            // The sleep-set and revisit layers need the footprint log;
-            // coarse mode drops it, degrading the walk to the pure-only
-            // prune.
-            Some(self.mode != PruneMode::Coarse)
-        } else {
-            None
-        };
-        let mut spine = SpineRunner::new(self.checkpoint);
-        loop {
-            // Pop a prefix, or exit once no work exists and nobody is
-            // expanding (an active worker may still push more).
-            let (prefix, inherited) = {
-                let mut f = sync.frontier.lock();
-                loop {
-                    if f.stop {
-                        return journal;
-                    }
-                    if let Some(p) = f.stack.pop() {
-                        f.active += 1;
-                        break p;
-                    }
-                    if f.active == 0 {
-                        return journal;
-                    }
-                    sync.available.wait(&mut f);
-                }
-            };
-            let _guard = ActiveGuard { sync };
-            // Claim a budget slot *before* running: exactly
-            // min(budget, tree) schedules execute, deterministically.
-            let claim = shared.claimed.fetch_add(1, Ordering::Relaxed);
-            if claim >= self.max_schedules {
-                shared.budget_hit.store(true, Ordering::Relaxed);
-                let mut f = sync.frontier.lock();
-                f.stop = true;
-                sync.available.notify_all();
-                return journal;
-            }
-            if self.progress_every > 0 && (claim + 1).is_multiple_of(self.progress_every) {
-                if let Some(progress) = &self.progress.0 {
-                    progress(claim + 1);
-                }
-            }
-
-            let result = spine.run_schedule(&mut make, &prefix, record_quanta);
-            let (decisions, quanta, metrics): (&[Decision], &[QuantumRecord], _) = match &result {
-                Ok(report) => (&report.decisions, &report.quanta, &report.metrics),
-                Err(err) => (
-                    &err.report.decisions,
-                    &err.report.quanta,
-                    &err.report.metrics,
-                ),
-            };
-            debug_assert!(
-                !metrics.replay.diverged(),
-                "replay diverged ({:?}) during exploration: scenario is nondeterministic",
-                metrics.replay
+        let decisions = &report.decisions[..];
+        debug_assert!(
+            !report.metrics.replay.diverged(),
+            "replay diverged ({:?}) during exploration: scenario is nondeterministic",
+            report.metrics.replay
+        );
+        for (i, want) in prefix.iter().enumerate() {
+            assert!(
+                decisions.get(i).map(|d| d.chosen) == Some(*want),
+                "replay prefix diverged at decision {i}: scenario is nondeterministic"
             );
-            for (i, want) in prefix.iter().enumerate() {
-                assert!(
-                    decisions.get(i).map(|d| d.chosen) == Some(*want),
-                    "replay prefix diverged at decision {i}: scenario is nondeterministic"
-                );
-            }
-            if let Err(err) = &result {
-                shared.offer_error(ExploreError {
-                    choices: decisions.iter().map(|d| d.chosen).collect(),
-                    error: err.clone(),
-                });
-            }
-            // Expand the decision points this run discovered. Points below
-            // the prefix length were expanded by the run that discovered
-            // the prefix; the rest are seen here first (with the canonical
-            // choice 0, which is what licenses the prune checks). With the
-            // prune on, the walk over the footprint log supplies the same
-            // per-node facts the serial explorer derives, so the pruned
-            // trees are identical.
-            let mut fresh: Vec<(Vec<u32>, SleepSet)> = Vec::new();
-            if let Some(revisit) = &shared.revisit {
-                // Race-driven expansion: analyse this run for reversible
-                // races, register the nodes it discovered, and schedule
-                // only the fresh race-derived requests. All of it under
-                // one lock acquisition, before the frontier push, so a
-                // node's canonical marker is always visible before any
-                // descendant run can request choice 0 there.
-                let mut local_races = BTreeMap::new();
-                let plan = plan_revisits(decisions, quanta, prefix.len(), &mut local_races);
-                if !local_races.is_empty() {
-                    merge_conflicts(&mut shared.conflicts.lock(), &local_races);
-                }
-                shared
-                    .revisit_requests
-                    .fetch_add(plan.requests.len() as u64, Ordering::Relaxed);
-                let choices: Vec<u32> = decisions.iter().map(|d| d.chosen).collect();
-                let mut rs = revisit.lock();
+        }
+        let choices: Vec<u32> = decisions.iter().map(|d| d.chosen).collect();
+        debug_assert!(
+            choices[prefix.len()..].iter().all(|&c| c == 0),
+            "past-prefix replay takes choice 0"
+        );
+        if let Err(err) = &result {
+            shared.offer_error(ExploreError {
+                choices: choices.clone(),
+                error: err.clone(),
+            });
+        }
+        let fresh = match &shared.revisit {
+            Some(revisit) => grant_revisits(revisit, report, prefix.len(), &choices),
+            None => {
+                // Every sibling of every decision point this run
+                // discovered. Points below the prefix length were expanded
+                // by the run that discovered the prefix.
+                let mut fresh = Vec::new();
                 for (i, d) in decisions.iter().enumerate().skip(prefix.len()) {
-                    debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
-                    if d.arity > 1 {
-                        if d.is_sched() {
-                            bump_depth(&mut rs.potential, i, d.arity as usize - 1);
-                        } else {
-                            bump_depth(&mut rs.data_potential, i, d.arity as usize - 1);
-                        }
-                        rs.scheduled.insert(choices[..=i].to_vec());
-                    }
-                }
-                for (i, c) in plan.requests {
-                    let mut branch = choices[..i].to_vec();
-                    branch.push(c);
-                    if rs.scheduled.insert(branch.clone()) {
-                        bump_depth(&mut rs.granted, i, 1);
-                        fresh.push((branch, SleepSet::default()));
-                    }
-                }
-                // Symbolic collapse: request one representative per
-                // constraint class at every data decision of this run
-                // (a per-run pure function, like the race plan), and
-                // grant the fresh ones under the same lock acquisition.
-                let data_choices = match &result {
-                    Ok(report) => &report.data_choices,
-                    Err(err) => &err.report.data_choices,
-                };
-                let mut slot = 0usize;
-                for (i, d) in decisions.iter().enumerate() {
-                    if !d.is_data() {
-                        continue;
-                    }
-                    let requests = data_choices[slot].collapse_requests();
-                    slot += 1;
-                    shared
-                        .sym_requests
-                        .fetch_add(requests.len() as u64, Ordering::Relaxed);
-                    for c in requests {
+                    for c in 1..d.arity {
                         let mut branch = choices[..i].to_vec();
                         branch.push(c);
-                        if rs.scheduled.insert(branch.clone()) {
-                            bump_depth(&mut rs.data_granted, i, 1);
-                            fresh.push((branch, SleepSet::default()));
-                        }
+                        fresh.push(branch);
                     }
                 }
-                debug_assert_eq!(slot, data_choices.len(), "data decision/choice drift");
-            } else if self.prune {
-                let mut local_conflicts = BTreeMap::new();
-                let infos = walk_run(
-                    decisions,
-                    quanta,
-                    prefix.len(),
-                    &inherited,
-                    &mut local_conflicts,
-                );
-                if !local_conflicts.is_empty() {
-                    merge_conflicts(&mut shared.conflicts.lock(), &local_conflicts);
-                }
-                if prefix.len() + infos.len() < decisions.len() {
-                    // The walk cut this run (see `walk_run`): count the
-                    // abandoned canonical continuation as one pruned
-                    // branch; nodes past the cut are never expanded.
-                    bump_depth(
-                        &mut shared.depth_pruned.lock(),
-                        prefix.len() + infos.len() - 1,
-                        1,
-                    );
-                }
-                for (j, info) in infos.iter().enumerate() {
-                    let i = prefix.len() + j;
-                    let d = decisions[i];
-                    debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
-                    if d.arity <= 1 {
-                        continue;
-                    }
-                    if info.pure {
-                        bump_depth(&mut shared.depth_pruned.lock(), i, d.arity as usize - 1);
-                        continue;
-                    }
-                    for c in 1..d.arity {
-                        if info.asleep[c as usize] {
-                            bump_depth(&mut shared.depth_pruned.lock(), i, 1);
-                            continue;
-                        }
-                        let mut branch = Vec::with_capacity(i + 1);
-                        branch.extend(decisions[..i].iter().map(|d| d.chosen));
-                        branch.push(c);
-                        fresh.push((branch, info.child_sleep.clone()));
-                    }
-                }
-            } else {
-                for i in prefix.len()..decisions.len() {
-                    let d = decisions[i];
-                    debug_assert_eq!(d.chosen, 0, "past-prefix replay takes choice 0");
-                    if d.arity <= 1 {
-                        continue;
-                    }
-                    for c in 1..d.arity {
-                        let mut branch = Vec::with_capacity(i + 1);
-                        branch.extend(decisions[..i].iter().map(|d| d.chosen));
-                        branch.push(c);
-                        fresh.push((branch, SleepSet::default()));
-                    }
-                }
+                fresh
             }
-            if !fresh.is_empty() {
-                let mut f = sync.frontier.lock();
-                f.stack.append(&mut fresh);
-                sync.available.notify_all();
-            }
-            journal.push(ScheduleRecord {
-                choices: decisions.iter().map(|d| d.chosen).collect(),
-                value: map(decisions, &result),
-            });
-        }
-    }
-
-    /// Parallel version of [`crate::Explorer::run_kill_points`]: explores
-    /// the (schedule × kill-point) space, stopping the sweep at the first
-    /// kill point that can no longer fire. Journal entries carry the kill
-    /// point in `value` position via the `map` closure's first argument;
-    /// the merged journal is ordered by `(kill point, decision vector)`.
-    pub fn run_kill_points<S, M, T>(
-        &self,
-        victim: &str,
-        max_points: u64,
-        setup: S,
-        map: M,
-    ) -> (Vec<(u64, ScheduleRecord<T>)>, KillPointStats)
-    where
-        S: Fn() -> Sim + Sync,
-        M: Fn(u64, &[Decision], &Result<SimReport, SimError>) -> T + Sync,
-        T: Send,
-    {
-        let mut journal = Vec::new();
-        let mut stats = KillPointStats {
-            complete: true,
-            ..KillPointStats::default()
         };
-        for point in 1..=max_points {
-            let kills = AtomicUsize::new(0);
-            let (point_journal, point_stats) = self.run(
-                || {
-                    let mut sim = setup();
-                    sim.set_fault_plan(FaultPlan::new().kill(victim, point));
-                    sim
-                },
-                |decisions, result| {
-                    if victim_killed(victim, result) {
-                        kills.fetch_add(1, Ordering::Relaxed);
-                    }
-                    map(point, decisions, result)
-                },
-            );
-            let kills = kills.into_inner();
-            stats.schedules += point_stats.schedules;
-            stats.complete &= point_stats.complete;
-            stats.pruned += point_stats.pruned;
-            merge_depth(&mut stats.depth_schedules, &point_stats.depth_schedules);
-            merge_depth(&mut stats.depth_pruned, &point_stats.depth_pruned);
-            merge_conflicts(&mut stats.conflicts, &point_stats.conflicts);
-            stats.revisit_requests += point_stats.revisit_requests;
-            stats.revisits += point_stats.revisits;
-            stats.sym_requests += point_stats.sym_requests;
-            stats.sym_grants += point_stats.sym_grants;
-            if stats.first_error.is_none() {
-                stats.first_error = point_stats.first_error;
+        if !fresh.is_empty() {
+            let mut f = sync.frontier.lock();
+            f.pending.extend(fresh);
+            sync.available.notify_all();
+        }
+        journal.push(ScheduleRecord {
+            value: map(decisions, &result),
+            choices,
+        });
+    }
+}
+
+/// Race-driven expansion of one executed run: analyse it for reversible
+/// races, register the nodes it discovered, and return the fresh
+/// race-derived and symbolic value requests. Grants happen under one lock
+/// acquisition, before the frontier push, so a node's canonical marker is
+/// always visible before any descendant run can request choice 0 there.
+fn grant_revisits(
+    revisit: &Mutex<RevisitShared>,
+    report: &SimReport,
+    prefix_len: usize,
+    choices: &[u32],
+) -> Vec<Vec<u32>> {
+    let decisions = &report.decisions;
+    let mut races = BTreeMap::new();
+    let plan = plan_revisits(decisions, &report.quanta, prefix_len, &mut races);
+    let mut fresh = Vec::new();
+    let mut rs = revisit.lock();
+    merge_conflicts(&mut rs.conflicts, &races);
+    rs.revisit_requests += plan.requests.len() as u64;
+    for (i, d) in decisions.iter().enumerate().skip(prefix_len) {
+        if d.arity > 1 {
+            if d.is_sched() {
+                bump_depth(&mut rs.potential, i, d.arity as usize - 1);
+            } else {
+                bump_depth(&mut rs.data_potential, i, d.arity as usize - 1);
             }
-            stats.per_point.push(KillPointCount {
-                point,
-                schedules: point_stats.schedules,
-                kills,
-            });
-            journal.extend(point_journal.into_iter().map(|r| (point, r)));
-            if kills == 0 && point_stats.complete {
-                break; // the victim never reaches `point` scheduling points
+            rs.scheduled.insert(choices[..=i].to_vec());
+        }
+    }
+    for (i, c) in plan.requests {
+        let mut branch = choices[..i].to_vec();
+        branch.push(c);
+        if rs.scheduled.insert(branch.clone()) {
+            bump_depth(&mut rs.granted, i, 1);
+            fresh.push(branch);
+        }
+    }
+    // Symbolic collapse over the run's data decisions: each
+    // [`crate::DataChoice`] partitions its domain by the constraint
+    // outcomes this run recorded, and one representative of every class
+    // the chosen value does not cover is requested. Constraints recorded
+    // *after* the branch point can split classes at earlier slots, so
+    // every slot is re-examined on every run — requests stay a pure
+    // function of the run, and grants are fresh insertions into
+    // `scheduled`, preserving the order-independent fixed point.
+    let data_decisions = decisions.iter().enumerate().filter(|(_, d)| d.is_data());
+    debug_assert_eq!(
+        data_decisions.clone().count(),
+        report.data_choices.len(),
+        "data decision/choice drift"
+    );
+    for ((i, _), data) in data_decisions.zip(&report.data_choices) {
+        let requests = data.collapse_requests();
+        rs.sym_requests += requests.len() as u64;
+        for c in requests {
+            let mut branch = choices[..i].to_vec();
+            branch.push(c);
+            if rs.scheduled.insert(branch.clone()) {
+                bump_depth(&mut rs.data_granted, i, 1);
+                fresh.push(branch);
             }
         }
-        #[cfg(debug_assertions)]
-        stats.assert_consistent();
-        (journal, stats)
     }
+    fresh
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::PruneMode;
+    use std::sync::Arc;
 
     fn three_emitters() -> Sim {
         let mut sim = Sim::new();
@@ -669,49 +432,50 @@ mod tests {
         sim
     }
 
-    #[test]
-    fn matches_serial_explorer_for_every_thread_count() {
-        let mut serial: Vec<(Vec<u32>, Vec<i64>)> = Vec::new();
-        let serial_stats = crate::Explorer::new(10_000).run(three_emitters, |decisions, result| {
-            let Ok(report) = result else { return };
-            serial.push((
-                decisions.iter().map(|d| d.chosen).collect(),
+    fn trace_of(result: &Result<SimReport, SimError>) -> Vec<String> {
+        result
+            .as_ref()
+            .map(|report| {
                 report
                     .trace
                     .user_events()
-                    .map(|(_, _, params)| params[0])
-                    .collect(),
-            ));
-        });
+                    .map(|(_, l, _)| l.to_string())
+                    .collect::<Vec<_>>()
+            })
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn matches_serial_explorer_for_every_thread_count() {
+        let order = |_: &[Decision], result: &Result<SimReport, SimError>| {
+            let Ok(report) = result else {
+                return Vec::new();
+            };
+            report
+                .trace
+                .user_events()
+                .map(|(_, _, params)| params[0])
+                .collect::<Vec<i64>>()
+        };
+        let (serial, serial_stats) = ExploreConfig::new(10_000).run(three_emitters, order);
+        assert_eq!(serial.len(), 6, "3! = 6 schedules");
         for threads in [1, 2, 4, 8] {
-            let (journal, stats) =
-                ParallelExplorer::new(10_000)
-                    .threads(threads)
-                    .run(three_emitters, |_, result| {
-                        let Ok(report) = result else {
-                            return Vec::new();
-                        };
-                        report
-                            .trace
-                            .user_events()
-                            .map(|(_, _, params)| params[0])
-                            .collect::<Vec<i64>>()
-                    });
+            let (journal, stats) = ExploreConfig::new(10_000)
+                .threads(threads)
+                .run(three_emitters, order);
             assert_eq!(stats.schedules, serial_stats.schedules);
             assert!(stats.complete);
             assert_eq!(stats.depth_schedules, serial_stats.depth_schedules);
             assert_eq!(stats.depth_pruned, serial_stats.depth_pruned);
             assert!(stats.first_error.is_none());
-            let merged: Vec<(Vec<u32>, Vec<i64>)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
-            assert_eq!(merged, serial, "journal must match serial visit order");
+            assert_eq!(journal, serial, "journal must match serial visit order");
         }
     }
 
     #[test]
     fn budget_claims_are_deterministic() {
         for threads in [1, 2, 4, 8] {
-            let (journal, stats) = ParallelExplorer::new(2)
+            let (journal, stats) = ExploreConfig::new(2)
                 .threads(threads)
                 .run(three_emitters, |_, _| ());
             assert_eq!(stats.schedules, 2);
@@ -723,7 +487,7 @@ mod tests {
     #[test]
     fn exact_budget_reports_complete() {
         // 3 one-emit processes: 3! = 6 schedules exactly.
-        let (_, stats) = ParallelExplorer::new(6)
+        let (_, stats) = ExploreConfig::new(6)
             .threads(4)
             .run(three_emitters, |_, _| ());
         assert_eq!(stats.schedules, 6);
@@ -747,118 +511,36 @@ mod tests {
             });
             sim
         };
-        let trace_of = |result: &Result<SimReport, SimError>| {
-            result
-                .as_ref()
-                .map(|report| {
-                    report
-                        .trace
-                        .user_events()
-                        .map(|(_, l, _)| l.to_string())
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default()
-        };
-        let mut serial_traces = BTreeSet::new();
-        let mut serial_journal = Vec::new();
-        let serial_stats =
-            crate::Explorer::new(100_000)
-                .with_pruning()
-                .run(scenario, |decisions, result| {
-                    let t = trace_of(result);
-                    serial_traces.insert(t.clone());
-                    serial_journal
-                        .push((decisions.iter().map(|d| d.chosen).collect::<Vec<_>>(), t));
-                });
+        let pruned = ExploreConfig::new(100_000).mode(PruneMode::Revisit);
+        let (serial_journal, serial_stats) = pruned.run(scenario, |_, r| trace_of(r));
         assert!(serial_stats.pruned > 0, "scenario must actually prune");
-        let mut full_traces = BTreeSet::new();
-        crate::Explorer::new(100_000).run(scenario, |_, result| {
-            full_traces.insert(trace_of(result));
-        });
+        let (full_journal, _) = ExploreConfig::new(100_000).run(scenario, |_, r| trace_of(r));
+        let behaviors = |journal: &[ScheduleRecord<Vec<String>>]| {
+            journal
+                .iter()
+                .map(|r| r.value.clone())
+                .collect::<BTreeSet<_>>()
+        };
         assert_eq!(
-            serial_traces, full_traces,
+            behaviors(&serial_journal),
+            behaviors(&full_journal),
             "prune must be behavior-preserving"
         );
         for threads in [1, 4] {
-            let (journal, stats) = ParallelExplorer::new(100_000)
+            let (journal, stats) = pruned
+                .clone()
                 .threads(threads)
-                .with_pruning()
-                .run(scenario, |_, result| trace_of(result));
+                .run(scenario, |_, r| trace_of(r));
             assert_eq!(stats.schedules, serial_stats.schedules);
             assert_eq!(stats.pruned, serial_stats.pruned);
             assert_eq!(stats.conflicts, serial_stats.conflicts);
-            let merged: Vec<(Vec<u32>, Vec<String>)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
-            assert_eq!(merged, serial_journal, "pruned trees must be identical");
-        }
-    }
-
-    /// The sleep-set layer (disjoint objects, no pure stutters) must also
-    /// produce byte-identical pruned trees for every thread count.
-    #[test]
-    fn sleep_set_prune_matches_serial_for_every_thread_count() {
-        let scenario = || {
-            let mut sim = Sim::new();
-            let qa = Arc::new(crate::waitq::WaitQueue::new("qa"));
-            let qb = Arc::new(crate::waitq::WaitQueue::new("qb"));
-            sim.spawn("a", move |ctx| {
-                qa.wake_one(ctx);
-                ctx.yield_now();
-                qa.wake_one(ctx);
-                ctx.yield_now();
-                ctx.emit("a", &[]);
-            });
-            sim.spawn("b", move |ctx| {
-                qb.wake_one(ctx);
-                ctx.yield_now();
-                qb.wake_one(ctx);
-                ctx.yield_now();
-                ctx.emit("b", &[]);
-            });
-            sim
-        };
-        let trace_of = |result: &Result<SimReport, SimError>| {
-            result
-                .as_ref()
-                .map(|report| {
-                    report
-                        .trace
-                        .user_events()
-                        .map(|(_, l, _)| l.to_string())
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default()
-        };
-        let mut serial_journal = Vec::new();
-        let serial_stats =
-            crate::Explorer::new(100_000)
-                .with_pruning()
-                .run(scenario, |decisions, result| {
-                    serial_journal.push((
-                        decisions.iter().map(|d| d.chosen).collect::<Vec<_>>(),
-                        trace_of(result),
-                    ));
-                });
-        assert!(serial_stats.pruned > 0, "sleep sets must prune here");
-        for threads in [1, 2, 4, 8] {
-            let (journal, stats) = ParallelExplorer::new(100_000)
-                .threads(threads)
-                .with_pruning()
-                .run(scenario, |_, result| trace_of(result));
-            assert_eq!(stats.schedules, serial_stats.schedules);
-            assert_eq!(stats.pruned, serial_stats.pruned);
-            assert_eq!(stats.depth_pruned, serial_stats.depth_pruned);
-            assert_eq!(stats.conflicts, serial_stats.conflicts);
-            let merged: Vec<(Vec<u32>, Vec<String>)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
-            assert_eq!(merged, serial_journal, "pruned trees must be identical");
+            assert_eq!(journal, serial_journal, "pruned trees must be identical");
         }
     }
 
     /// The revisit mode's executed set is a fixed point of the race
-    /// analysis, so every thread count must produce the identical journal
-    /// (after sorting the serial one — its worklist visit order is not the
-    /// parallel merge order) and identical stats.
+    /// analysis, so every worker count must produce the identical journal
+    /// and identical stats.
     #[test]
     fn revisit_matches_serial_for_every_thread_count() {
         let scenario = || {
@@ -880,50 +562,26 @@ mod tests {
             });
             sim
         };
-        let trace_of = |result: &Result<SimReport, SimError>| {
-            result
-                .as_ref()
-                .map(|report| {
-                    report
-                        .trace
-                        .user_events()
-                        .map(|(_, l, _)| l.to_string())
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default()
-        };
-        let mut serial_journal = Vec::new();
-        let serial_stats = crate::Explorer::new(100_000).with_revisit_pruning().run(
-            scenario,
-            |decisions, result| {
-                serial_journal.push((
-                    decisions.iter().map(|d| d.chosen).collect::<Vec<_>>(),
-                    trace_of(result),
-                ));
-            },
-        );
-        serial_journal.sort();
+        let revisit = ExploreConfig::new(100_000).mode(PruneMode::Revisit);
+        let (serial_journal, serial_stats) = revisit.run(scenario, |_, r| trace_of(r));
         assert!(serial_stats.revisits > 0, "the shared queue must race");
         for threads in [1, 2, 4, 8] {
-            let (journal, stats) = ParallelExplorer::new(100_000)
+            let (journal, stats) = revisit
+                .clone()
                 .threads(threads)
-                .with_revisit_pruning()
-                .run(scenario, |_, result| trace_of(result));
+                .run(scenario, |_, r| trace_of(r));
             assert_eq!(stats.schedules, serial_stats.schedules);
             assert_eq!(stats.pruned, serial_stats.pruned);
             assert_eq!(stats.depth_pruned, serial_stats.depth_pruned);
             assert_eq!(stats.conflicts, serial_stats.conflicts);
             assert_eq!(stats.revisit_requests, serial_stats.revisit_requests);
             assert_eq!(stats.revisits, serial_stats.revisits);
-            let merged: Vec<(Vec<u32>, Vec<String>)> =
-                journal.into_iter().map(|r| (r.choices, r.value)).collect();
-            assert_eq!(merged, serial_journal, "revisit trees must be identical");
+            assert_eq!(journal, serial_journal, "revisit trees must be identical");
         }
     }
 
     /// A schedule-dependent deadlock must not panic the workers; the
-    /// canonical-first failure must match the serial explorer's for every
-    /// thread count.
+    /// canonical-first failure must be the same at every worker count.
     #[test]
     fn first_error_matches_serial_for_every_thread_count() {
         let scenario = || {
@@ -937,10 +595,10 @@ mod tests {
             });
             sim
         };
-        let serial_stats = crate::Explorer::new(1000).run(scenario, |_, _| {});
+        let (_, serial_stats) = ExploreConfig::new(1000).run(scenario, |_, _| ());
         let serial_first = serial_stats.first_error.expect("some schedule deadlocks");
         for threads in [1, 2, 4, 8] {
-            let (journal, stats) = ParallelExplorer::new(1000)
+            let (journal, stats) = ExploreConfig::new(1000)
                 .threads(threads)
                 .run(scenario, |_, result| result.is_ok());
             assert!(stats.complete, "failures must not cut the walk short");
@@ -953,15 +611,15 @@ mod tests {
     }
 
     /// Progress milestones are a pure function of the tree for exhaustive
-    /// explorations: same set for every thread count, never wall-clock.
+    /// explorations: same set for every worker count, never wall-clock.
     #[test]
     fn progress_milestones_are_deterministic() {
         for threads in [1, 2, 4, 8] {
-            let ticks = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let ticks = Arc::new(Mutex::new(Vec::new()));
             let ticks2 = Arc::clone(&ticks);
-            let (_, stats) = ParallelExplorer::new(10_000)
+            let (_, stats) = ExploreConfig::new(10_000)
                 .threads(threads)
-                .with_progress(2, move |n| ticks2.lock().push(n))
+                .progress(2, move |n| ticks2.lock().push(n))
                 .run(three_emitters, |_, _| ());
             assert!(stats.complete);
             assert_eq!(stats.schedules, 6, "3! = 6 schedules");

@@ -15,8 +15,7 @@
 //!   mutex, the trace), never through thread identity, and the kernel's
 //!   one-running-process invariant means a host is handed a job only when
 //!   it is the unique runnable process of its simulation. Determinism is
-//!   therefore untouched — verified byte-for-byte by the equivalence tests
-//!   against the seed protocol (`SimConfig::reuse_hosts = false`).
+//!   therefore untouched.
 //! * A host is returned to the pool only after the process body has fully
 //!   returned or unwound **and** its simulation's job gate has been
 //!   notified, so a recycled host can never observe state from its

@@ -1,13 +1,10 @@
 //! Race-driven revisit planning for the near-optimal DPOR prune mode.
 //!
-//! The `granular` sleep-set prune (DESIGN.md §2.10) expands *every*
-//! sibling of every contested decision and then prunes the ones whose
-//! dispatched process is asleep. That forward expansion is the fat the
-//! `revisit` mode removes: instead of branching eagerly, each executed run
-//! is analysed for **reversible races** — pairs of quanta by different
-//! processes whose footprints conflict and that no third quantum orders —
-//! and only the sibling branches that *reverse a detected race* are
-//! scheduled. A sibling never named by any race commutes, footprint-wise,
+//! Instead of branching eagerly on every sibling of every contested
+//! decision, each executed run is analysed for **reversible races** —
+//! pairs of quanta by different processes whose footprints conflict and
+//! that no third quantum orders — and only the sibling branches that
+//! *reverse a detected race* are scheduled. A sibling never named by any race commutes, footprint-wise,
 //! with everything the canonical subtree already executes, so its whole
 //! subtree is Mazurkiewicz-equivalent to explored schedules and is counted
 //! as pruned without ever running.
@@ -17,13 +14,12 @@
 //! TraceForge line of work uses: the revisit targets the earlier side of
 //! the race and asks for the later side's process to be dispatched there.
 //! Everything is computed from *one run's own log* — decisions, per-quantum
-//! footprints, and the recorded ready lists — which is what lets the
-//! serial worklist and the work-sharing parallel frontier arrive at the
-//! byte-identical explored set: the set of executed schedules is the least
-//! fixed point of "the root schedule, plus every revisit any executed
-//! schedule requests", and that fixed point does not depend on the order
-//! requests are discovered in. See `DESIGN.md` §2.14 for the soundness
-//! argument and the interaction with checkpointed execution.
+//! footprints, and the recorded ready lists — which is what lets every
+//! worker count of the work-sharing frontier arrive at the byte-identical
+//! explored set: the set of executed schedules is the least fixed point of
+//! "the root schedule, plus every revisit any executed schedule requests",
+//! and that fixed point does not depend on the order requests are
+//! discovered in. See `DESIGN.md` §2.14 for the soundness argument.
 
 use crate::footprint::QuantumRecord;
 use crate::trace::Decision;

@@ -1,6 +1,6 @@
 //! Seeded schedule *sampling* for trees too big to enumerate.
 //!
-//! The [`crate::Explorer`] family proves properties by visiting every
+//! [`crate::ExploreConfig::run`] proves properties by visiting every
 //! schedule; past a few processes the tree is astronomically larger than
 //! any budget, and exhaustive walks stop meaning anything. [`Sampler`] is
 //! the third exploration mode: draw schedules at random — but *seeded*
@@ -35,10 +35,9 @@
 //! for every worker count, exactly like the parallel explorer's.
 //!
 //! Each claimed iteration executes its processes on the shared host pool
-//! (DESIGN.md §2.13): `setup()` builds the [`Sim`] with the default
-//! `reuse_hosts: true`, so every PCT/walk run borrows pooled host
-//! threads instead of spawning one OS thread per process per iteration —
-//! the same hot path the explorers use. Thread identity is unobservable
+//! (DESIGN.md §2.13), so every PCT/walk run borrows pooled host threads
+//! instead of spawning one OS thread per process per iteration — the same
+//! hot path the explorer uses. Thread identity is unobservable
 //! to the simulation, so the journals are unchanged.
 //!
 //! # Replay is load-bearing
@@ -237,8 +236,8 @@ impl SampleStats {
     }
 }
 
-/// Seeded schedule sampler: the third exploration mode, beside the serial
-/// and parallel DFS explorers (see the module docs).
+/// Seeded schedule sampler: the exploration mode beside exhaustive
+/// enumeration (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Sampler {
     iterations: usize,
@@ -436,7 +435,8 @@ impl Sampler {
     }
 }
 
-fn default_threads() -> usize {
+/// One worker per available core, capped at 8.
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -3,7 +3,7 @@
 use crate::ctx::Ctx;
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultRuntime};
-use crate::kernel::{drive, shutdown, DriveOutcome, Shared, SimReport};
+use crate::kernel::{drive, Shared, SimReport};
 use crate::policy::SchedPolicy;
 use crate::types::Pid;
 use std::sync::Arc;
@@ -38,17 +38,10 @@ pub struct SimConfig {
     pub deadlock_recovery: bool,
     /// Whether per-dispatch access footprints are recorded in
     /// [`crate::SimReport::quanta`]. On by default (the log is what the
-    /// explorers' object-granular prune consumes, and they force it on);
+    /// revisit prune's race analysis consumes, and it forces it on);
     /// disable for long throughput benchmarks where the log's allocation
     /// is measurable.
     pub record_quanta: bool,
-    /// Whether process bodies run on recycled host threads from the global
-    /// pool (`true`, the default — see [`crate::pool`]) or on a freshly
-    /// spawned OS thread per process (`false`: the seed protocol, kept as
-    /// the honest baseline for the exploration benchmarks). The two modes
-    /// are observably identical — same traces, decisions, reports — and
-    /// differ only in thread lifecycle cost.
-    pub reuse_hosts: bool,
 }
 
 impl Default for SimConfig {
@@ -60,7 +53,6 @@ impl Default for SimConfig {
             starvation_bound: None,
             deadlock_recovery: false,
             record_quanta: true,
-            reuse_hosts: true,
         }
     }
 }
@@ -99,7 +91,7 @@ impl Sim {
     ///
     /// Equivalent to setting [`SimConfig::faults`] up front; this form
     /// suits explorers that wrap an existing setup closure (see
-    /// [`crate::Explorer::run_kill_points`]).
+    /// [`crate::ExploreConfig::run_kill_points`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> &mut Self {
         self.config.faults = plan.clone();
         self.shared.state.lock().faults = FaultRuntime::new(plan);
@@ -122,8 +114,8 @@ impl Sim {
     }
 
     /// Turns the per-dispatch footprint log on or off (see
-    /// [`SimConfig::record_quanta`]). The explorers call this to force it
-    /// on when their object-granular prune is enabled.
+    /// [`SimConfig::record_quanta`]). The explorer calls this to force it
+    /// on when the revisit prune is enabled.
     pub fn set_record_quanta(&mut self, on: bool) -> &mut Self {
         self.config.record_quanta = on;
         self.shared.state.lock().record_quanta = on;
@@ -153,105 +145,7 @@ impl Sim {
     /// exhaustion — are returned as [`SimError`], which still carries the
     /// full [`SimReport`] for diagnosis.
     pub fn run(self) -> Result<SimReport, SimError> {
-        match drive(&self.shared, None) {
-            DriveOutcome::Done(result) => *result,
-            DriveOutcome::Paused => unreachable!("no pause point was requested"),
-        }
-    }
-
-    /// Converts the simulation into a [`HeldRun`] without running anything
-    /// yet: a resumable handle at decision depth 0. Drive it forward with
-    /// [`HeldRun::advance_to`] or to completion with [`HeldRun::finish`].
-    pub fn into_held(self) -> HeldRun {
-        HeldRun {
-            shared: self.shared,
-        }
-    }
-}
-
-/// A live, paused simulation: every process is stopped at a scheduling
-/// point and the kernel is parked just before a contested decision, so the
-/// whole run is a frozen deterministic snapshot (the one-running-process
-/// invariant means no stack is mid-quantum). This is the explorers'
-/// *checkpoint* primitive — a held run, not a copied state.
-///
-/// A held run driven by a [`crate::ReplayPolicy`] can have the rest of its
-/// script replaced between drives ([`HeldRun::set_continuation`]), which is
-/// what lets one checkpoint at decision depth *k* serve every schedule
-/// sharing its first *k* decisions — resuming replays only the residual
-/// decisions instead of the whole prefix from the root.
-///
-/// Dropping a held run cancels its processes and releases their hosts.
-pub struct HeldRun {
-    shared: Arc<Shared>,
-}
-
-/// What [`HeldRun::advance_to`] produced.
-#[allow(clippy::large_enum_variant)] // transient: matched and consumed immediately
-pub enum RunProgress {
-    /// The run paused at the requested decision depth and can be resumed.
-    Held(HeldRun),
-    /// The run finished before reaching the requested depth.
-    Done(Box<Result<SimReport, SimError>>),
-}
-
-impl HeldRun {
-    /// The number of contested decisions made so far.
-    pub fn depth(&self) -> usize {
-        self.shared.state.lock().decisions.len()
-    }
-
-    /// The choices taken at the contested decisions made so far.
-    pub fn choices(&self) -> Vec<u32> {
-        self.shared
-            .state
-            .lock()
-            .decisions
-            .iter()
-            .map(|d| d.chosen)
-            .collect()
-    }
-
-    /// Replaces the *unconsumed* rest of the replay script with `tail`
-    /// (the decisions already made are untouched — they happened).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run's policy is not a [`crate::ReplayPolicy`].
-    pub fn set_continuation(&mut self, tail: &[u32]) {
-        self.shared
-            .state
-            .lock()
-            .policy
-            .as_replay_mut()
-            .expect("held-run continuation requires a ReplayPolicy")
-            .retarget(tail);
-    }
-
-    /// Drives the run up to `depth` contested decisions, pausing just
-    /// before decision `depth` is made — or to completion if the run ends
-    /// first.
-    pub fn advance_to(self, depth: usize) -> RunProgress {
-        match drive(&self.shared, Some(depth)) {
-            DriveOutcome::Paused => RunProgress::Held(self),
-            DriveOutcome::Done(result) => RunProgress::Done(result),
-        }
-    }
-
-    /// Drives the run to completion.
-    pub fn finish(self) -> Result<SimReport, SimError> {
-        match drive(&self.shared, None) {
-            DriveOutcome::Done(result) => *result,
-            DriveOutcome::Paused => unreachable!("no pause point was requested"),
-        }
-    }
-}
-
-impl Drop for HeldRun {
-    fn drop(&mut self) {
-        // Cancel parked processes and wait for their unwinds (a no-op when
-        // the run already completed — shutdown is idempotent).
-        shutdown(&self.shared);
+        drive(&self.shared)
     }
 }
 

@@ -242,10 +242,8 @@ fn same_plan_same_seed_identical_trace() {
 
 #[test]
 fn kill_point_explorer_covers_schedules_and_points() {
-    use bloom_sim::Explorer;
-    let outcomes = Arc::new(Mutex::new(Vec::new()));
-    let outcomes2 = Arc::clone(&outcomes);
-    let stats = Explorer::new(10_000).run_kill_points(
+    use bloom_sim::ExploreConfig;
+    let (journal, stats) = ExploreConfig::new(10_000).run_kill_points(
         "victim",
         3,
         || {
@@ -260,16 +258,16 @@ fn kill_point_explorer_covers_schedules_and_points() {
             });
             sim
         },
-        move |point, _decisions, result| {
+        |_point, _decisions, result| {
             let report = result.as_ref().expect("no deadlock possible here");
-            outcomes2.lock().push((point, !report.killed().is_empty()));
+            !report.killed().is_empty()
         },
     );
+    let outcomes: Vec<(u64, bool)> = journal.into_iter().map(|(p, r)| (p, r.value)).collect();
     assert!(
         stats.complete,
         "tiny scenario fully explored at every point"
     );
-    let outcomes = outcomes.lock();
     assert!(
         outcomes.iter().any(|&(p, killed)| p == 1 && killed),
         "kill at the victim's only yield fires in some schedule"

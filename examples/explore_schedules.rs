@@ -4,10 +4,10 @@
 //! cargo run --release --example explore_schedules
 //! ```
 //!
-//! The simulator records every contested scheduling decision; the
-//! [`ParallelExplorer`] walks the tree of those decisions — depth-first
-//! within each worker, work-shared across workers — running *every*
-//! interleaving of a scenario. This example uses it to map the deadlock
+//! The simulator records every contested scheduling decision;
+//! [`ExploreConfig::run`] walks the tree of those decisions — here on one
+//! worker per core, sharing one frontier of branch prefixes — running
+//! *every* interleaving of a scenario. This example uses it to map the deadlock
 //! space of the dining philosophers: what fraction of schedules deadlocks
 //! naively, and that the two classic cures drive it to zero.
 

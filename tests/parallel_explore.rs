@@ -1,9 +1,9 @@
-//! Determinism contract of the work-sharing [`ParallelExplorer`]: for any
-//! worker count, the parallel exploration of a real problem tree is
-//! *byte-identical* to the serial [`Explorer`]'s — same schedule count,
-//! same set of decision vectors, same merged journal in the same order,
-//! and (since the observability layer) the same `SimMetrics` and the same
-//! exported JSONL/Chrome trace bytes for every schedule.
+//! Determinism contract of the exploration engine: for any worker count,
+//! the exploration of a real problem tree is *byte-identical* to the
+//! one-worker run's — same schedule count, same set of decision vectors,
+//! same merged journal in the same order, and (since the observability
+//! layer) the same `SimMetrics` and the same exported JSONL/Chrome trace
+//! bytes for every schedule.
 //!
 //! The scenario is the experiment-R2 dining-philosophers deadlock-recovery
 //! sim: a genuinely contested tree (thousands of schedules) whose runs
@@ -11,19 +11,21 @@
 //! the worst case for any scheme whose merged order could depend on which
 //! worker got which subtree.
 //!
-//! The second test pins the same contract along the checkpointing axis:
-//! resuming held runs from a spine of branch-point checkpoints (see
-//! DESIGN.md §2.13) must be observably *nothing* — journals, stats, and
-//! export bytes identical to whole-prefix replay, serial and at every
-//! worker count.
+//! The last test pins the one-worker order: under a budget cut a single
+//! worker runs exactly the first `budget` schedules of the sorted journal,
+//! the canonical depth-first order.
 
 #![deny(deprecated)]
 
 use bloom_core::liveness::classify_liveness;
+use bloom_core::MechanismId;
 use bloom_problems::liveness::{deadlock_recovery_sim, LiveMechanism};
+use bloom_problems::rw::{self, RwVariant};
+use bloom_semaphore::Semaphore;
 use bloom_sim::prelude::*;
 use bloom_sim::{export, Decision};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const BUDGET: usize = 50_000;
 
@@ -72,9 +74,9 @@ fn line(decisions: &[Decision], result: &Result<SimReport, SimError>) -> String 
 fn parallel_matches_serial_on_recovery_tree_at_every_thread_count() {
     let mech = LiveMechanism::SemaphoreStrong;
 
-    // Serial baseline through the unified verb: the journal comes back
-    // in lexicographic decision-vector order — the canonical order the
-    // parallel merge reproduces.
+    // One-worker baseline through the unified verb: the journal comes
+    // back in lexicographic decision-vector order — the canonical order
+    // the multi-worker merge reproduces.
     let config = ExploreConfig::new(BUDGET);
     let (serial_records, serial_stats) = config.run(|| deadlock_recovery_sim(mech), line);
     assert!(serial_stats.complete, "budget too small for the tree");
@@ -127,31 +129,27 @@ fn parallel_matches_serial_on_recovery_tree_at_every_thread_count() {
 }
 
 /// The revisit prune on the recovery tree: strictly fewer schedules than
-/// the granular prune, byte-identical journals (decision vectors,
-/// verdicts, metrics, export hashes) across serial and 1/2/4/8 worker
-/// threads and across checkpoint spacings, and every returned
+/// the full tree, byte-identical journals (decision vectors, verdicts,
+/// metrics, export hashes) across 1/2/4/8 workers, and every returned
 /// [`ExploreStats`] passing its own accounting cross-check — the
-/// regression net for the prune-tally drift this mode's bookkeeping
-/// replaced (`depth_pruned` is settled from discovered-sibling capacity
-/// minus grants, not incremented ad hoc).
+/// regression net for prune-tally drift (`depth_pruned` is settled from
+/// discovered-sibling capacity minus grants, not incremented ad hoc).
 #[test]
-fn revisit_matches_serial_and_beats_granular_on_recovery_tree() {
+fn revisit_matches_serial_and_beats_full_on_recovery_tree() {
     let mech = LiveMechanism::SemaphoreStrong;
-    let (_, granular_stats) = ExploreConfig::new(BUDGET)
-        .prune(true)
-        .run(|| deadlock_recovery_sim(mech), |_, _| ());
-    assert!(granular_stats.complete);
-    granular_stats.assert_consistent();
+    let (_, full_stats) = ExploreConfig::new(BUDGET).run(|| deadlock_recovery_sim(mech), |_, _| ());
+    assert!(full_stats.complete);
+    full_stats.assert_consistent();
 
     let config = ExploreConfig::new(BUDGET).mode(PruneMode::Revisit);
     let (serial_records, serial_stats) = config.run(|| deadlock_recovery_sim(mech), line);
     assert!(serial_stats.complete, "budget too small for the tree");
     serial_stats.assert_consistent();
     assert!(
-        serial_stats.schedules < granular_stats.schedules,
-        "revisit must beat granular on the recovery tree: {} vs {}",
+        serial_stats.schedules < full_stats.schedules,
+        "revisit must beat the full tree on the recovery tree: {} vs {}",
         serial_stats.schedules,
-        granular_stats.schedules
+        full_stats.schedules
     );
     assert_eq!(
         serial_stats.schedules,
@@ -185,98 +183,95 @@ fn revisit_matches_serial_and_beats_granular_on_recovery_tree() {
             "{threads} threads: revisit journal is not byte-identical to serial"
         );
     }
-
-    // The same tree through the checkpoint spine: the race analysis feeds
-    // on footprints recorded during resumed held runs, so every spacing
-    // must reproduce whole-prefix replay exactly.
-    for spacing in [
-        CheckpointSpacing::Dense { budget: 64 },
-        CheckpointSpacing::Geometric { budget: 8 },
-    ] {
-        let (records, stats) = config
-            .clone()
-            .checkpoint(spacing)
-            .run(|| deadlock_recovery_sim(mech), line);
-        stats.assert_consistent();
-        assert_eq!(stats.schedules, serial_stats.schedules, "{spacing:?}");
-        assert_eq!(stats.pruned, serial_stats.pruned, "{spacing:?}");
-        assert_eq!(stats.revisits, serial_stats.revisits, "{spacing:?}");
-        let journal: Vec<String> = records.into_iter().map(|r| r.value).collect();
-        assert_eq!(
-            journal, serial_journal,
-            "{spacing:?}: checkpointed revisit journal diverged from replay"
-        );
-    }
 }
 
-/// Checkpoint-vs-replay equivalence: under both non-replay
-/// [`CheckpointSpacing`] policies, with and without pruning, the journal
-/// (decision vectors, verdicts, metrics, and both export-format hashes),
-/// the [`ExploreStats`] counters, and the merged order are byte-identical
-/// to whole-prefix replay — serially and at 1/2/4/8 worker threads. The
-/// recovery tree makes this a hostile fixture: held runs are parked and
-/// resumed across schedules that deadlock, abort victims, and recover.
+/// The footnote-3 scenario (two writers, one reader, readers-priority) on
+/// the CSP channel solution, as the F1a report row builds it.
+fn footnote3_csp() -> Sim {
+    let mut sim = Sim::new();
+    let db = rw::make(MechanismId::Csp, RwVariant::ReadersPriority);
+    for i in 0..2 {
+        let db = Arc::clone(&db);
+        sim.spawn(&format!("writer{i}"), move |ctx| {
+            db.write(ctx, &mut || ctx.yield_now());
+        });
+    }
+    sim.spawn("reader", move |ctx| {
+        db.read(ctx, &mut || ctx.yield_now());
+    });
+    sim
+}
+
+/// Four dining philosophers on strong semaphores with ordered fork pickup
+/// and two bare yields between the forks.
+fn dining_four() -> Sim {
+    let n = 4;
+    let mut sim = Sim::new();
+    let forks: Vec<Arc<Semaphore>> = (0..n)
+        .map(|i| Arc::new(Semaphore::strong(&format!("fork{i}"), 1)))
+        .collect();
+    for i in 0..n {
+        let (a, b) = (i.min((i + 1) % n), i.max((i + 1) % n));
+        let first = Arc::clone(&forks[a]);
+        let second = Arc::clone(&forks[b]);
+        sim.spawn(&format!("philosopher{i}"), move |ctx| {
+            first.p(ctx);
+            ctx.yield_now();
+            ctx.yield_now();
+            second.p(ctx);
+            second.v(ctx);
+            first.v(ctx);
+        });
+    }
+    sim
+}
+
+/// FNV-1a 64 of a whole journal, one line per schedule.
+fn journal_hash(records: Vec<ScheduleRecord<String>>) -> u64 {
+    let lines: Vec<String> = records.into_iter().map(|r| r.value).collect();
+    fnv1a(lines.join("\n").as_bytes())
+}
+
+/// One worker pops the least branch prefix first, so it runs schedules in
+/// canonical depth-first order even under a budget cut. The two pinned
+/// hashes are the budget-cut journals of the depth-first serial explorer
+/// this engine replaced, at the benchmark's warm-up budgets: the unpruned
+/// footnote-3 CSP tree at 400 schedules and the revisit-pruned dining-4
+/// tree at 300. An unpruned budget-cut journal is also exactly the first
+/// `budget` entries of the complete sorted journal.
 #[test]
-fn checkpointed_matches_replay_at_every_thread_count() {
+fn one_worker_budget_cut_runs_the_serial_order() {
+    let (records, stats) = ExploreConfig::new(400).run(footnote3_csp, line);
+    assert!(!stats.complete);
+    assert_eq!(records.len(), 400);
+    assert_eq!(
+        journal_hash(records),
+        0xe7f4_1fb0_0f69_e620,
+        "unpruned footnote-3 CSP journal at budget 400"
+    );
+
+    let (records, stats) = ExploreConfig::new(300)
+        .mode(PruneMode::Revisit)
+        .engine(Engine::Serial)
+        .run(dining_four, line);
+    assert!(!stats.complete);
+    assert_eq!(records.len(), 300);
+    assert_eq!(
+        journal_hash(records),
+        0x65ef_f5f4_f844_8362,
+        "revisit dining-4 journal at budget 300"
+    );
+
     let mech = LiveMechanism::SemaphoreStrong;
-    for prune in [false, true] {
-        let replay = ExploreConfig::new(BUDGET).prune(prune);
-        let (replay_records, replay_stats) = replay.run(|| deadlock_recovery_sim(mech), line);
-        assert!(replay_stats.complete, "budget too small for the tree");
-        let replay_journal: Vec<String> = replay_records.into_iter().map(|r| r.value).collect();
-
-        for spacing in [
-            CheckpointSpacing::Dense { budget: 64 },
-            CheckpointSpacing::Geometric { budget: 8 },
-        ] {
-            let config = replay.clone().checkpoint(spacing);
-            let label = format!("prune={prune} {spacing:?}");
-
-            let same_stats = |stats: &ExploreStats, what: &str| {
-                assert_eq!(stats.schedules, replay_stats.schedules, "{what}: schedules");
-                assert_eq!(stats.pruned, replay_stats.pruned, "{what}: pruned");
-                assert!(stats.complete, "{what}: must exhaust the tree");
-                assert_eq!(
-                    stats.depth_schedules, replay_stats.depth_schedules,
-                    "{what}: depth histogram"
-                );
-                assert_eq!(
-                    stats.depth_pruned, replay_stats.depth_pruned,
-                    "{what}: prune histogram"
-                );
-                assert_eq!(
-                    stats.conflicts, replay_stats.conflicts,
-                    "{what}: conflict tally"
-                );
-                assert_eq!(
-                    stats.first_error.as_ref().map(|e| e.choices.clone()),
-                    replay_stats.first_error.as_ref().map(|e| e.choices.clone()),
-                    "{what}: canonical first error"
-                );
-            };
-
-            let (serial_records, serial_stats) = config.run(|| deadlock_recovery_sim(mech), line);
-            same_stats(&serial_stats, &format!("{label} serial"));
-            let serial_journal: Vec<String> = serial_records.into_iter().map(|r| r.value).collect();
-            assert_eq!(
-                serial_journal, replay_journal,
-                "{label} serial: checkpointed journal is not byte-identical \
-                 to replay"
-            );
-
-            for threads in [1, 2, 4, 8] {
-                let (records, stats): (Vec<ScheduleRecord<String>>, _) = config
-                    .clone()
-                    .threads(threads)
-                    .run(|| deadlock_recovery_sim(mech), line);
-                same_stats(&stats, &format!("{label} {threads} threads"));
-                let merged: Vec<String> = records.into_iter().map(|r| r.value).collect();
-                assert_eq!(
-                    merged, replay_journal,
-                    "{label} {threads} threads: checkpointed journal (incl. \
-                     metrics and export hashes) is not byte-identical to replay"
-                );
-            }
-        }
+    let (full, full_stats) = ExploreConfig::new(BUDGET).run(|| deadlock_recovery_sim(mech), line);
+    assert!(full_stats.complete);
+    for budget in [1, 100, 200, full.len() - 1] {
+        let (cut, stats) = ExploreConfig::new(budget).run(|| deadlock_recovery_sim(mech), line);
+        assert!(!stats.complete);
+        assert_eq!(
+            cut,
+            full[..budget],
+            "budget {budget}: the cut journal is not a prefix of the full one"
+        );
     }
 }

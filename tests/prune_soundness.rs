@@ -1,9 +1,9 @@
-//! Soundness oracle for the explorers' equivalence pruning.
+//! Soundness oracle for the explorer's revisit prune (DESIGN.md §2.14).
 //!
 //! proptest generates small random workloads — processes taking
 //! semaphore-protected critical sections on a shared or private semaphore,
-//! with pure stutter quanta mixed in — and the pruned exploration must
-//! observe **exactly** the behaviors the unpruned one does:
+//! with stutter quanta mixed in — and the pruned exploration must observe
+//! **exactly** the behaviors the unpruned one does:
 //!
 //! * the set of distinct per-run journals (liveness verdict + full
 //!   user-event trace) is identical — pruning may skip a schedule only
@@ -12,15 +12,11 @@
 //!   critical sections, which holds in every schedule of either mode;
 //! * the pruned exploration never visits *more* schedules.
 //!
-//! This is the workload family the object-granular footprint prune was
-//! built for (disjoint semaphores commute; a shared one does not), so the
-//! oracle exercises both the sleep-set machinery and its conservative
-//! fallbacks.
-//!
-//! The revisit mode (DESIGN.md §2.14) is held to the same oracle across
-//! the full execution matrix — serial and 1/2/4/8 worker threads, each
-//! under whole-prefix replay and both checkpoint spacings — plus its own
-//! accounting cross-check (`ExploreStats::assert_consistent`).
+//! This is the workload family object-granular footprints were built for
+//! (disjoint semaphores commute; a shared one does not), so the oracle
+//! exercises both the race analysis and its conservative fallbacks, at 1,
+//! 2, 4 and 8 workers, plus the prune's own accounting cross-check
+//! (`ExploreStats::assert_consistent`).
 //!
 //! A second generator adds *data* nondeterminism (`Ctx::choose_value`,
 //! DESIGN.md §2.15): a chooser process draws a value and either observes
@@ -28,7 +24,7 @@
 //! the domain) or only compares it against a threshold (the constraint
 //! classes must collapse, strictly beating brute-force enumeration). The
 //! revisit engine's behavior set must equal the brute-force one, and its
-//! journals must stay byte-identical across the same matrix.
+//! journals must stay byte-identical across the same worker counts.
 
 #![deny(deprecated)]
 
@@ -133,7 +129,7 @@ fn line(result: &Result<SimReport, SimError>) -> String {
         "critical sections are semaphore-protected",
     );
     // Behavior = the ordered (process, label, params) sequence. Timestamps
-    // are deliberately excluded: commuting a pure quantum shifts the
+    // are deliberately excluded: commuting independent quanta shifts the
     // timestamps of everything after it — that is exactly the
     // unobservable difference the prune collapses (reading the clock via
     // `Ctx::now` voids the prune for this very reason).
@@ -150,10 +146,11 @@ fn line(result: &Result<SimReport, SimError>) -> String {
 /// schedule. The probe sits alone in its quantum — the `yield_now`
 /// separates it from the branch's emission, so nothing *else* in that
 /// quantum leaves a footprint. The bare `Semaphore::try_p` records none
-/// either: the probing quantum looks pure, the prune commutes it past the
-/// `v`, and the pruned exploration loses one of the two behaviors (swap
-/// in `try_p` and this test fails). The instrumented `try_p_ctx` marks
-/// the access; both explorations must observe both behaviors.
+/// either: the probing quantum looks like a stutter, the race analysis
+/// never reverses it past the `v`, and the pruned exploration loses one
+/// of the two behaviors (swap in `try_p` and this test fails). The
+/// instrumented `try_p_ctx` marks the access; both explorations must
+/// observe both behaviors.
 #[test]
 fn instrumented_try_p_is_visible_to_the_prune() {
     let build = || {
@@ -175,17 +172,19 @@ fn instrumented_try_p_is_visible_to_the_prune() {
         sim
     };
     let collect = |prune: bool| {
-        let (journal, stats) = ExploreConfig::new(BUDGET)
-            .prune(prune)
-            .run(build, |_, result| {
-                let report = result.as_ref().expect("no deadlock possible");
-                let labels: Vec<String> = report
-                    .trace
-                    .user_events()
-                    .map(|(_, label, _)| label.to_string())
-                    .collect();
-                labels.join(",")
-            });
+        let mut config = ExploreConfig::new(BUDGET);
+        if prune {
+            config = config.mode(PruneMode::Revisit);
+        }
+        let (journal, stats) = config.run(build, |_, result| {
+            let report = result.as_ref().expect("no deadlock possible");
+            let labels: Vec<String> = report
+                .trace
+                .user_events()
+                .map(|(_, label, _)| label.to_string())
+                .collect();
+            labels.join(",")
+        });
         assert!(stats.complete, "tiny tree must be fully explored");
         journal
             .into_iter()
@@ -214,55 +213,9 @@ proptest! {
         prop_assert!(unpruned_stats.complete, "workload exceeds the budget");
         let unpruned = behaviors(unpruned_journal);
 
-        let (pruned_journal, pruned_stats) = ExploreConfig::new(BUDGET)
-            .prune(true)
-            .run(|| build_sim(&w), |_, result| line(result));
-        prop_assert!(pruned_stats.complete);
-        let pruned = behaviors(pruned_journal);
-
-        prop_assert!(
-            pruned_stats.schedules <= unpruned_stats.schedules,
-            "pruning visited more schedules ({} > {})",
-            pruned_stats.schedules,
-            unpruned_stats.schedules,
-        );
-        prop_assert_eq!(
-            &pruned, &unpruned,
-            "pruned and unpruned explorations must observe the same \
-             behavior set (schedules: {} pruned vs {} unpruned)",
-            pruned_stats.schedules, unpruned_stats.schedules,
-        );
-
-        // The same oracle through the checkpointed execution path: the
-        // prune decisions feed on footprints recorded during runs that now
-        // resume from held branch-point checkpoints (DESIGN.md §2.13), so
-        // the densest spacing must reproduce the pruned exploration —
-        // schedule count and behavior set — exactly.
-        let (ckpt_journal, ckpt_stats) = ExploreConfig::new(BUDGET)
-            .prune(true)
-            .checkpoint(CheckpointSpacing::Dense { budget: 2 })
-            .run(|| build_sim(&w), |_, result| line(result));
-        prop_assert!(ckpt_stats.complete);
-        prop_assert_eq!(
-            ckpt_stats.schedules, pruned_stats.schedules,
-            "checkpointed pruning changed the schedule count"
-        );
-        prop_assert_eq!(
-            ckpt_stats.pruned, pruned_stats.pruned,
-            "checkpointed pruning changed the prune count"
-        );
-        prop_assert_eq!(
-            &behaviors(ckpt_journal), &unpruned,
-            "checkpointed pruned exploration must observe the same \
-             behavior set"
-        );
-
-        // The revisit mode against the same oracle, across the full
-        // execution matrix: serial and 1/2/4/8 worker threads, each under
-        // whole-prefix replay and both checkpoint spacings. The race
-        // analysis is a different soundness argument from the sleep sets
-        // (it *reverses* observed conflicts instead of skipping commuting
-        // siblings), so it gets the same behavior-set, schedule-count, and
+        // The revisit prune against the oracle at every worker count. The
+        // race analysis *reverses* observed conflicts instead of expanding
+        // every sibling, so it gets behavior-set, schedule-count, and
         // accounting scrutiny on every workload the generator produces.
         // The unified verbs return journals sorted by decision vector, so
         // every entry below is directly byte-comparable.
@@ -286,46 +239,25 @@ proptest! {
             revisit_stats.schedules, unpruned_stats.schedules,
         );
 
-        for spacing in [
-            CheckpointSpacing::Replay,
-            CheckpointSpacing::Dense { budget: 2 },
-            CheckpointSpacing::Geometric { budget: 4 },
-        ] {
-            let spaced = revisit.clone().checkpoint(spacing);
-            if spacing != CheckpointSpacing::Replay {
-                let (journal, stats) =
-                    spaced.run(|| build_sim(&w), |_, result| line(result));
-                prop_assert!(stats.complete);
-                stats.assert_consistent();
-                prop_assert_eq!(stats.schedules, revisit_stats.schedules);
-                prop_assert_eq!(stats.pruned, revisit_stats.pruned);
-                prop_assert_eq!(stats.revisits, revisit_stats.revisits);
-                prop_assert_eq!(
-                    &journal, &revisit_journal,
-                    "{:?}: checkpointed revisit journal diverged from replay",
-                    spacing,
-                );
-            }
-            for threads in [1, 2, 4, 8] {
-                let (records, stats) = spaced
-                    .clone()
-                    .threads(threads)
-                    .run(|| build_sim(&w), |_, result| line(result));
-                prop_assert!(stats.complete);
-                stats.assert_consistent();
-                prop_assert_eq!(stats.schedules, revisit_stats.schedules);
-                prop_assert_eq!(stats.pruned, revisit_stats.pruned);
-                prop_assert_eq!(
-                    stats.revisit_requests,
-                    revisit_stats.revisit_requests
-                );
-                prop_assert_eq!(stats.revisits, revisit_stats.revisits);
-                prop_assert_eq!(
-                    &records, &revisit_journal,
-                    "{:?} x {} threads: revisit journal diverged from serial",
-                    spacing, threads,
-                );
-            }
+        for threads in [1, 2, 4, 8] {
+            let (records, stats) = revisit
+                .clone()
+                .threads(threads)
+                .run(|| build_sim(&w), |_, result| line(result));
+            prop_assert!(stats.complete);
+            stats.assert_consistent();
+            prop_assert_eq!(stats.schedules, revisit_stats.schedules);
+            prop_assert_eq!(stats.pruned, revisit_stats.pruned);
+            prop_assert_eq!(
+                stats.revisit_requests,
+                revisit_stats.revisit_requests
+            );
+            prop_assert_eq!(stats.revisits, revisit_stats.revisits);
+            prop_assert_eq!(
+                &records, &revisit_journal,
+                "{} threads: revisit journal diverged from serial",
+                threads,
+            );
         }
     }
 }
@@ -410,8 +342,7 @@ proptest! {
     /// plain DFS enumeration of every concrete value, its accounting must
     /// balance, and (when the data step only *compares* the value) it
     /// must get there in strictly fewer runs. Journals and statistics
-    /// stay byte-identical across serial and 1/2/4/8 worker threads under
-    /// all three checkpoint spacings.
+    /// stay byte-identical at 1/2/4/8 workers.
     #[test]
     fn symbolic_exploration_matches_brute_force(w in data_workload()) {
         let (brute_journal, brute_stats) = ExploreConfig::new(BUDGET)
@@ -454,44 +385,23 @@ proptest! {
             );
         }
 
-        for spacing in [
-            CheckpointSpacing::Replay,
-            CheckpointSpacing::Dense { budget: 2 },
-            CheckpointSpacing::Geometric { budget: 4 },
-        ] {
-            let spaced = revisit.clone().checkpoint(spacing);
-            if spacing != CheckpointSpacing::Replay {
-                let (journal, stats) =
-                    spaced.run(|| build_data_sim(&w), |_, result| line(result));
-                prop_assert!(stats.complete);
-                stats.assert_consistent();
-                prop_assert_eq!(stats.schedules, ref_stats.schedules);
-                prop_assert_eq!(stats.sym_requests, ref_stats.sym_requests);
-                prop_assert_eq!(stats.sym_grants, ref_stats.sym_grants);
-                prop_assert_eq!(
-                    &journal, &reference,
-                    "{:?}: checkpointed symbolic journal diverged",
-                    spacing,
-                );
-            }
-            for threads in [1, 2, 4, 8] {
-                let (records, stats) = spaced
-                    .clone()
-                    .threads(threads)
-                    .run(|| build_data_sim(&w), |_, result| line(result));
-                prop_assert!(stats.complete);
-                stats.assert_consistent();
-                prop_assert_eq!(stats.schedules, ref_stats.schedules);
-                prop_assert_eq!(stats.pruned, ref_stats.pruned);
-                prop_assert_eq!(stats.revisits, ref_stats.revisits);
-                prop_assert_eq!(stats.sym_requests, ref_stats.sym_requests);
-                prop_assert_eq!(stats.sym_grants, ref_stats.sym_grants);
-                prop_assert_eq!(
-                    &records, &reference,
-                    "{:?} x {} threads: symbolic journal diverged from serial",
-                    spacing, threads,
-                );
-            }
+        for threads in [1, 2, 4, 8] {
+            let (records, stats) = revisit
+                .clone()
+                .threads(threads)
+                .run(|| build_data_sim(&w), |_, result| line(result));
+            prop_assert!(stats.complete);
+            stats.assert_consistent();
+            prop_assert_eq!(stats.schedules, ref_stats.schedules);
+            prop_assert_eq!(stats.pruned, ref_stats.pruned);
+            prop_assert_eq!(stats.revisits, ref_stats.revisits);
+            prop_assert_eq!(stats.sym_requests, ref_stats.sym_requests);
+            prop_assert_eq!(stats.sym_grants, ref_stats.sym_grants);
+            prop_assert_eq!(
+                &records, &reference,
+                "{} threads: symbolic journal diverged from serial",
+                threads,
+            );
         }
     }
 }
