@@ -339,9 +339,11 @@ fn bench_handoffs() -> String {
 }
 
 /// `--sample`: throughput of the R3 samplers on one scaled starvation
-/// tree. Violation counts are deterministic (seeded, worker-count
-/// independent — asserted here across every worker count); the
-/// schedules-per-second figures are measurements.
+/// tree. Violation counts and the OS hand-offs and dispatches per run are
+/// deterministic (seeded, worker-count independent — asserted here across
+/// every worker count); the CI explore job gates a hand-off ceiling on
+/// the watchdog-armed PCT row. The schedules-per-second figures are
+/// measurements.
 fn bench_samplers() -> Vec<String> {
     let spec = WorkloadSpec::new(0xB5A)
         .clients(24)
@@ -361,7 +363,7 @@ fn bench_samplers() -> Vec<String> {
         ("walk-weak-24", SampleStrategy::Walk),
     ] {
         let iterations = 40;
-        let mut baseline: Option<(Vec<Vec<u32>>, u64)> = None;
+        let mut baseline = None;
         let mut entry_parts = Vec::new();
         for &threads in &THREAD_COUNTS {
             let start = Instant::now();
@@ -370,7 +372,13 @@ fn bench_samplers() -> Vec<String> {
                 iterations,
                 0xB5A,
                 || starvation_at_scale(LiveMechanism::SemaphoreWeak, &spec),
-                |_, result| ((), laws.violated(result)),
+                |_, result| {
+                    let m = match result {
+                        Ok(report) => &report.metrics,
+                        Err(err) => &err.report.metrics,
+                    };
+                    ((m.os_handoffs, m.dispatches), laws.violated(result))
+                },
             );
             let secs = start.elapsed().as_secs_f64();
             let sampling = stats.sampling.expect("sampler stats");
@@ -379,16 +387,13 @@ fn bench_samplers() -> Vec<String> {
                 .get("starvation-free")
                 .copied()
                 .unwrap_or(0);
-            let choices: Vec<Vec<u32>> = journal.into_iter().map(|r| r.choices).collect();
             match &baseline {
-                None => baseline = Some((choices, hits)),
-                Some((expect_choices, expect_hits)) => {
-                    assert_eq!(
-                        &choices, expect_choices,
-                        "{name}: sampled journal diverged at {threads} threads"
-                    );
-                    assert_eq!(hits, *expect_hits);
-                }
+                None => baseline = Some((journal, hits)),
+                Some(expect) => assert_eq!(
+                    &(journal, hits),
+                    expect,
+                    "{name}: sampled journal diverged at {threads} threads"
+                ),
             }
             eprintln!(
                 "sampling({name}): {threads} thread(s) {iterations} runs in {secs:.3}s \
@@ -401,10 +406,18 @@ fn bench_samplers() -> Vec<String> {
                 iterations as f64 / secs
             ));
         }
-        let hits = baseline.expect("at least one worker count").1;
+        let (journal, hits) = baseline.expect("at least one worker count");
+        let runs = journal.len() as f64;
+        let handoffs = journal.iter().map(|r| r.value.0).sum::<u64>() as f64 / runs;
+        let dispatches = journal.iter().map(|r| r.value.1).sum::<u64>() as f64 / runs;
+        eprintln!(
+            "sampling({name}): {handoffs:.2} hand-offs and {dispatches:.2} dispatches per run"
+        );
         entries.push(format!(
             "{{\n      \"name\": \"{name}\",\n      \"iterations\": 40,\n      \
-             \"violations\": {hits},\n      \"workers\": [\n        {}\n      ]\n    }}",
+             \"violations\": {hits},\n      \"handoffs_per_run\": {handoffs:.2},\n      \
+             \"dispatches_per_run\": {dispatches:.2},\n      \"workers\": [\n        {}\n      \
+             ]\n    }}",
             entry_parts.join(",\n        ")
         ));
     }

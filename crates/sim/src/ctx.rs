@@ -1,7 +1,7 @@
 //! The per-process kernel handle.
 
 use crate::baton::Report;
-use crate::footprint::{merge_access, Access, ObjId};
+use crate::footprint::{Access, ObjId};
 use crate::kernel::{obey, stop_process, ProcessStatus, Shared, StopOutcome, TimerKind};
 use crate::symbolic::SymValue;
 use crate::trace::EventKind;
@@ -96,7 +96,7 @@ impl Ctx {
     /// be commuted — swapping the draws swaps the values and can swap a
     /// later arbitration.
     pub fn fresh_ticket(&self) -> u64 {
-        self.mark_obj(ObjId::pseudo("ticket"), Access::Write);
+        self.mark_obj(|| ObjId::pseudo("ticket"), Access::Write);
         self.shared.fresh_ticket()
     }
 
@@ -136,7 +136,7 @@ impl Ctx {
     /// as a momentary hint. Over-marking (wider access, more objects, or
     /// falling back to [`Ctx::note_sync`]) is always safe.
     pub fn note_sync_obj(&self, obj: &ObjId, access: Access) {
-        self.mark_obj(obj.clone(), access);
+        self.mark_obj(|| obj.clone(), access);
     }
 
     /// [`Ctx::note_sync_obj`], plus a per-mechanism operation count in
@@ -149,7 +149,7 @@ impl Ctx {
     /// not stop the quantum, and is never read back by the scheduler.
     pub fn note_sync_obj_op(&self, obj: &ObjId, access: Access) {
         let mut st = self.shared.state.lock();
-        merge_access(&mut st.quantum_objs, obj.clone(), access);
+        st.note_obj(|| obj.clone(), access);
         crate::metrics::SimMetrics::bump(&mut st.metrics.sync_ops, obj.kind());
     }
 
@@ -165,9 +165,8 @@ impl Ctx {
 
     /// Records an access to a kernel pseudo-object (or a mechanism object,
     /// by value) in the current quantum's footprint.
-    fn mark_obj(&self, obj: ObjId, access: Access) {
-        let mut st = self.shared.state.lock();
-        merge_access(&mut st.quantum_objs, obj, access);
+    fn mark_obj(&self, obj: impl FnOnce() -> ObjId, access: Access) {
+        self.shared.state.lock().note_obj(obj, access);
     }
 
     /// Gives up the CPU; the process stays runnable and will be rescheduled
@@ -311,11 +310,7 @@ impl Ctx {
         // too, so commuting this probe past a park-state change is
         // impossible; two probes of the same target commute.
         let mut st = self.shared.state.lock();
-        merge_access(
-            &mut st.quantum_objs,
-            ObjId::pseudo(&format!("park:{target}")),
-            Access::Read,
-        );
+        st.note_obj(|| ObjId::pseudo(&format!("park:{target}")), Access::Read);
         let slot = &st.procs[target.index()];
         matches!(slot.status, ProcessStatus::Blocked { .. }) || slot.spurious_wake
     }
@@ -325,12 +320,9 @@ impl Ctx {
     /// entries of processes that already woke by timeout; for queues that
     /// cannot, prefer [`Ctx::unpark`], which panics on staleness.
     pub fn try_unpark(&self, target: Pid) -> bool {
-        let mut st = self.shared.state.lock();
-        merge_access(
-            &mut st.quantum_objs,
-            ObjId::pseudo(&format!("park:{target}")),
-            Access::Write,
-        );
+        let mut guard = self.shared.state.lock();
+        let st = &mut *guard;
+        st.note_obj(|| ObjId::pseudo(&format!("park:{target}")), Access::Write);
         let slot = &mut st.procs[target.index()];
         if !matches!(slot.status, ProcessStatus::Blocked { .. }) {
             // A pending fault-plan spurious wake means the target is Ready
@@ -339,8 +331,7 @@ impl Ctx {
             if slot.spurious_wake {
                 slot.spurious_wake = false;
                 if let Some((reason, _)) = &slot.wait_started {
-                    let reason = reason.clone();
-                    crate::metrics::SimMetrics::bump(&mut st.metrics.wakes, &reason);
+                    crate::metrics::SimMetrics::bump(&mut st.metrics.wakes, reason);
                 }
                 let clock = st.clock;
                 st.trace
@@ -349,7 +340,7 @@ impl Ctx {
             }
             return false;
         }
-        self.deliver_unpark(&mut st, target);
+        self.deliver_unpark(st, target);
         true
     }
 
@@ -362,20 +353,16 @@ impl Ctx {
     /// parked, so an unparked-while-not-parked target is a mechanism bug and
     /// is reported loudly rather than being silently ignored.
     pub fn unpark(&self, target: Pid) {
-        let mut st = self.shared.state.lock();
-        merge_access(
-            &mut st.quantum_objs,
-            ObjId::pseudo(&format!("park:{target}")),
-            Access::Write,
-        );
+        let mut guard = self.shared.state.lock();
+        let st = &mut *guard;
+        st.note_obj(|| ObjId::pseudo(&format!("park:{target}")), Access::Write);
         let slot = &mut st.procs[target.index()];
         if slot.spurious_wake {
             // See Ctx::try_unpark: consume the pending spurious wake as if
             // it were this unpark.
             slot.spurious_wake = false;
             if let Some((reason, _)) = &slot.wait_started {
-                let reason = reason.clone();
-                crate::metrics::SimMetrics::bump(&mut st.metrics.wakes, &reason);
+                crate::metrics::SimMetrics::bump(&mut st.metrics.wakes, reason);
             }
             let clock = st.clock;
             st.trace
@@ -387,7 +374,7 @@ impl Ctx {
             "unpark of {target} which is {:?} (mechanism bug)",
             slot.status
         );
-        self.deliver_unpark(&mut st, target);
+        self.deliver_unpark(st, target);
     }
 
     /// Shared tail of [`Ctx::try_unpark`]/[`Ctx::unpark`] once `target` is
@@ -401,8 +388,7 @@ impl Ctx {
         // only shifts when the wakee runs), so it counts as a wake and
         // ends the target's blocked episode here.
         if let ProcessStatus::Blocked { reason } = &st.procs[target.index()].status {
-            let reason = reason.clone();
-            crate::metrics::SimMetrics::bump(&mut st.metrics.wakes, &reason);
+            crate::metrics::SimMetrics::bump(&mut st.metrics.wakes, reason);
         }
         st.settle_blocked_time(target);
         st.trace
@@ -484,7 +470,7 @@ impl Ctx {
         // while an emitting quantum still commutes with independent
         // non-emitting ones.
         let mut st = self.shared.state.lock();
-        merge_access(&mut st.quantum_objs, ObjId::pseudo("trace"), Access::Write);
+        st.note_obj(|| ObjId::pseudo("trace"), Access::Write);
         let clock = st.clock;
         st.trace.push(
             clock,

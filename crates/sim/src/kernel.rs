@@ -203,6 +203,16 @@ impl State {
         }
     }
 
+    /// Records an access in the current quantum's footprint. A no-op when
+    /// the footprint log is off: nothing reads `quantum_objs` then
+    /// (`account_stop` and the abort path gate on `record_quanta`), so the
+    /// id is not even built — pseudo-object ids allocate.
+    pub(crate) fn note_obj(&mut self, obj: impl FnOnce() -> ObjId, access: Access) {
+        if self.record_quanta {
+            merge_access(&mut self.quantum_objs, obj(), access);
+        }
+    }
+
     /// Closes the pid's blocked episode (if one is open) and adds its
     /// duration to the blocked-time metric. Called wherever a process
     /// stops being `Blocked`: unpark delivery, park-timeout fire, abort,
@@ -270,8 +280,10 @@ pub(crate) struct Shared {
     /// [`drive`] call: a stopping process runs phase 3 and the common case
     /// of phase 1 itself (see [`stop_process`]) instead of waking the
     /// scheduler loop, halving the context switches per quantum. Armed
-    /// only when neither fault injection nor the starvation watchdog is
-    /// active — those paths need the scheduler loop's hand-shakes.
+    /// whenever no fault plan is active — the kill and spurious-wake paths
+    /// need the scheduler loop's hand-shakes. The starvation watchdog runs
+    /// inside `pick_and_dispatch` under the state lock, on the same state
+    /// and clock in both protocols, so it does not disarm the path.
     pub inline: AtomicBool,
     /// Wakes of another OS thread so far in this run (see
     /// [`SimMetrics::os_handoffs`]); copied into the metrics by
@@ -652,41 +664,39 @@ fn pick_and_dispatch(st: &mut State) -> Picked {
     // Starvation watchdog: a dispatch means *somebody* is making progress;
     // any non-daemon still blocked whose current wait episode is older
     // than the bound has been bypassed that whole time. Flag it (once per
-    // episode) — detection, not recovery. (A set bound disarms the inline
-    // path, so this only ever runs on the scheduler loop.)
+    // episode) — detection, not recovery. It runs under the state lock on
+    // whichever thread dispatches, scheduler loop or inline continuation;
+    // both see the same state and clock, so the flags and their trace
+    // order are the same.
     if let Some(bound) = st.starvation_bound {
-        let clock = st.clock;
-        let mut flagged = Vec::new();
-        for (i, p) in st.procs.iter_mut().enumerate() {
+        let state = &mut *st;
+        let clock = state.clock;
+        for (i, p) in state.procs.iter_mut().enumerate() {
             if p.daemon
                 || p.starvation_flagged
                 || !matches!(p.status, ProcessStatus::Blocked { .. })
             {
                 continue;
             }
-            let Some((reason, since)) = p.wait_started.clone() else {
+            let Some((reason, since)) = &p.wait_started else {
                 continue;
             };
             let age = clock.0 - since.0;
             if age > bound {
                 p.starvation_flagged = true;
-                flagged.push(StarvationFlag {
-                    pid: Pid(i as u32),
+                let pid = Pid(i as u32);
+                state
+                    .trace
+                    .push(clock, pid, EventKind::StarvationFlagged { age });
+                state.starvation.push(StarvationFlag {
+                    pid,
                     name: p.name.clone(),
-                    reason,
-                    since,
+                    reason: reason.clone(),
+                    since: *since,
                     flagged_at: clock,
                     age,
                 });
             }
-        }
-        for flag in flagged {
-            st.trace.push(
-                clock,
-                flag.pid,
-                EventKind::StarvationFlagged { age: flag.age },
-            );
-            st.starvation.push(flag);
         }
     }
     if st.record_sched_events {
@@ -943,10 +953,22 @@ pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
         }
         // Arm the inline continuation fast path (see `stop_process`).
         // Fault plans need the kill/spurious hand-shakes of the scheduler
-        // loop, and the watchdog must run at every dispatch on the loop's
-        // clock.
-        let inline = !st.faults.active() && st.starvation_bound.is_none();
-        shared.inline.store(inline, Ordering::Relaxed);
+        // loop. The starvation watchdog does not: it runs in
+        // `pick_and_dispatch` under the state lock, so which thread runs
+        // it cannot be observed.
+        shared.inline.store(!st.faults.active(), Ordering::Relaxed);
+        // Size the per-run buffers here, on the driving thread: a buffer
+        // that outgrows its capacity on a pooled host leaves its old block
+        // in that host's malloc cache, and across many runs those blocks
+        // fragment the heap (DESIGN §2.13). `ready` already holds every
+        // spawned process. The timer heap holds a live timer per sleeping
+        // or timed-parked process plus the stale timers of timed parks
+        // that ended early; R3's weak-semaphore rung peaks at four per
+        // process.
+        let timers = 4 * st.procs.len();
+        st.timers.reserve(timers);
+        let decisions = st.policy.decisions_hint();
+        st.decisions.reserve(decisions);
     }
     loop {
         // Phase 1: pick the next process (or detect termination/deadlock).
@@ -991,11 +1013,11 @@ pub(crate) fn drive(shared: &Arc<Shared>) -> Result<SimReport, SimError> {
                             continue; // stale timer from an earlier park/sleep
                         }
                         if let TimerKind::ParkTimeout { .. } = kind {
-                            st.procs[pid.index()].timed_out = true;
-                            if let ProcessStatus::Blocked { reason } = &st.procs[pid.index()].status
-                            {
-                                let reason = reason.clone();
-                                SimMetrics::bump(&mut st.metrics.timeout_wakes, &reason);
+                            let state = &mut *st;
+                            let slot = &mut state.procs[pid.index()];
+                            slot.timed_out = true;
+                            if let ProcessStatus::Blocked { reason } = &slot.status {
+                                SimMetrics::bump(&mut state.metrics.timeout_wakes, reason);
                             }
                             st.settle_blocked_time(pid);
                         }

@@ -77,6 +77,15 @@ pub trait SchedPolicy: Send {
         "custom"
     }
 
+    /// How many decisions a run under this policy is expected to record.
+    /// The kernel reserves the decision vector for this many entries when
+    /// the run starts, on the driving thread (see DESIGN §2.13); a wrong
+    /// hint costs only memory or reallocations, never behaviour. The
+    /// default, 0, reserves nothing beyond the kernel's own small start.
+    fn decisions_hint(&self) -> usize {
+        0
+    }
+
     /// Replay divergence accumulated by this policy, if it is a replay
     /// policy (see [`ReplayPolicy::diverged`]). The kernel copies this
     /// into [`crate::SimMetrics::replay`] at the end of every run; the

@@ -95,6 +95,9 @@ pub struct PctPolicy {
     change_at: Vec<usize>,
     next_change: usize,
     decisions: usize,
+    /// The estimate of the run's contested-decision count the change
+    /// depths were drawn below; reported as [`SchedPolicy::decisions_hint`].
+    depth_hint: usize,
     demotions: u64,
     /// Shared per-depth histogram of fired change points (merged across
     /// a sampler's iterations; elementwise adds commute, so the merged
@@ -124,6 +127,7 @@ impl PctPolicy {
             change_at,
             next_change: 0,
             decisions: 0,
+            depth_hint,
             demotions: 0,
             fired,
             name: format!("pct(seed={seed},d={change_points})"),
@@ -166,6 +170,10 @@ impl SchedPolicy for PctPolicy {
             fired[depth] += 1;
         }
         best
+    }
+
+    fn decisions_hint(&self) -> usize {
+        self.depth_hint
     }
 
     fn choose_data(&mut self, arity: u32, _step: u64) -> u32 {
